@@ -16,7 +16,7 @@ TOTAL=$(printf '%s\n' "$TEST_OUT" \
 echo "    workspace test count: $TOTAL"
 # Regression guard: the suite only ever grows. Raise the floor when
 # you add tests; never lower it.
-MIN_TESTS=560
+MIN_TESTS=567
 if [ "$TOTAL" -lt "$MIN_TESTS" ]; then
     echo "ci: workspace test count regressed below $MIN_TESTS (got $TOTAL)" >&2
     exit 1
@@ -24,6 +24,14 @@ fi
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# The benchmark package's own tests. poolbench has an empty [workspace]
+# of its own, so `--workspace` above never reaches it. Its tests drive
+# all four workloads through the session factory the benchmark measures
+# (one compiled circuit per shard, every session built on a clone of
+# it) and check exact counts, the interpreter oracle and recovery.
+echo "==> poolbench tests (all four workloads, unpaced)"
+cargo test -q --offline --manifest-path poolbench/Cargo.toml
 
 # Static analysis gate: every example must lint clean of the deny set —
 # non-constructive cycles plus the dataflow lints (unobservable signals,

@@ -5,10 +5,31 @@
 use hiphop_bench::{
     chaos_overhead, engine_comparison, hybrid_comparison, linear_fit,
     login_v2_abort_comparison, memory_table, optimizer_ablation, pool_scaling, schizo_sweep,
-    size_sweep, skini_latency, telemetry_metrics,
+    session_rss, session_rss_plan, size_sweep, skini_latency, telemetry_metrics,
 };
 
+/// Runs the E3 per-session measurement of `score` in a child process
+/// (`report --session-rss SCORE`): RSS growth means nothing in a process
+/// whose earlier experiments left freed heap behind.
+fn session_rss_in_child(score: &str) -> Option<f64> {
+    let out = std::process::Command::new(std::env::current_exe().ok()?)
+        .args(["--session-rss", score])
+        .output()
+        .ok()?;
+    String::from_utf8(out.stdout).ok()?.trim().parse().ok()
+}
+
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    if let [_, flag, score] = args.as_slice() {
+        if flag == "--session-rss" {
+            let (shape, sessions) = session_rss_plan(score).expect("score: concert or classical");
+            if let Some(kb) = session_rss(shape, sessions) {
+                println!("{kb}");
+            }
+            return;
+        }
+    }
     println!("HipHop reproduction — evaluation report (paper §5.3)");
     println!("=====================================================");
 
@@ -81,6 +102,13 @@ fn main() {
             r.bytes as f64 / 1024.0,
             r.bytes_per_net
         );
+    }
+    println!("\nE3 — RSS per additional session (compile once, clone the circuit per session)");
+    println!("{:<28} {:>9} {:>12}", "score", "sessions", "KB/session");
+    for score in ["concert", "classical"] {
+        let (_, sessions) = session_rss_plan(score).expect("known score");
+        let kb = session_rss_in_child(score).map_or("n/a".to_owned(), |kb| format!("{kb:.1}"));
+        println!("{:<28} {sessions:>9} {kb:>12}", format!("Skini score ({score})"));
     }
 
     // ------------------------------------------------------------------ E4a

@@ -291,6 +291,54 @@ pub fn memory_table() -> Vec<MemoryRow> {
     rows
 }
 
+/// This process's resident set size in KB (`VmRSS` in
+/// `/proc/self/status`), or `None` where that file does not exist.
+fn resident_kb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// The E3 per-session scores: shape and number of sessions measured.
+pub fn session_rss_plan(score: &str) -> Option<(hiphop_skini::ScoreShape, usize)> {
+    match score {
+        "concert" => Some((hiphop_skini::ScoreShape::concert(), 256)),
+        "classical" => Some((hiphop_skini::ScoreShape::classical(), 32)),
+        _ => None,
+    }
+}
+
+/// E3, per session: the resident memory (KB) one more session of a
+/// score costs a server that already runs it. The score is compiled
+/// once, and every session is a booted machine built on a clone of that
+/// circuit, as in a session pool's shard. `sessions / 2` warm-up
+/// sessions open first, so the measured ones do not just refill heap the
+/// compiler freed; the RSS growth over the next `sessions` is divided
+/// among them. Heap freed by earlier work in the same process absorbs
+/// sessions unseen, so run it in a fresh process (the report does).
+/// `None` where RSS cannot be read.
+pub fn session_rss(shape: hiphop_skini::ScoreShape, sessions: usize) -> Option<f64> {
+    let (module, _) = hiphop_skini::generate(shape);
+    let circuit = compile_module(&module, &ModuleRegistry::new())
+        .expect("score compiles")
+        .circuit;
+    let open = |n: usize| -> Vec<Machine> {
+        (0..n)
+            .map(|_| {
+                let mut m = Machine::new(circuit.clone()).expect("score machine");
+                m.react().expect("boot");
+                m
+            })
+            .collect()
+    };
+    let warm = open(sessions / 2);
+    let before = resident_kb()?;
+    let measured = open(sessions);
+    let after = resident_kb()?;
+    drop((warm, measured));
+    Some((after - before) / sessions as f64)
+}
+
 /// E4b: runs a full audience-driven performance of a generated score and
 /// reports reaction latency against the 300 ms musical budget.
 pub fn skini_latency(
@@ -468,7 +516,9 @@ pub struct PoolRow {
 
 thread_local! {
     // Shard threads build one machine per session from the same
-    // circuit: compile once per thread, clone per machine.
+    // circuit: compile once per thread, and build every machine on a
+    // clone of it, which shares the circuit body and the program
+    // memoized in it.
     static POOL_CIRCUIT: RefCell<Option<((usize, u64), hiphop_circuit::Circuit)>> =
         const { RefCell::new(None) };
 }

@@ -7,8 +7,11 @@ use crate::net::{
     RegId, Register, SignalId, SignalInfo, TestKind,
 };
 use hiphop_core::ast::Loc;
+use std::any::Any;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 
 /// An augmented boolean circuit (paper §5.1) ready for simulation.
 ///
@@ -17,10 +20,22 @@ use std::fmt;
 /// which computes fanouts and dependency fanouts for the linear-time
 /// simulation (paper §5.2: "execution is linear in the number of net
 /// connections and data dependencies").
-#[derive(Debug, Clone, Default)]
+///
+/// A `Circuit` is a handle on one reference-counted body, so `clone()`
+/// only bumps a count: every session of a server can hold the same
+/// compiled circuit. The builder methods are copy-on-write — an edit
+/// through a shared handle copies the body first, so the other handles
+/// never see it — and every edit un-seals the circuit and drops what was
+/// memoized on the body ([`Circuit::memo`]); call
+/// [`Circuit::finalize`] again before running it.
+#[derive(Clone, Default)]
 pub struct Circuit {
-    /// Program name.
-    pub name: String,
+    body: Rc<Body>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Body {
+    name: String,
     nets: Vec<Net>,
     registers: Vec<Register>,
     signals: Vec<SignalInfo>,
@@ -29,9 +44,9 @@ pub struct Circuit {
     actions: Vec<Action>,
     by_name: HashMap<String, SignalId>,
     /// Net that is 1 exactly at the first reaction (the "boot" wire).
-    pub boot_net: Option<NetId>,
+    boot_net: Option<NetId>,
     /// Root completion net: 1 when the whole program terminates.
-    pub terminated_net: Option<NetId>,
+    terminated_net: Option<NetId>,
     /// Flattened fanout edges with the consuming edge's polarity, grouped
     /// by source net (compressed sparse rows, computed by
     /// [`Circuit::finalize`]). `fanout_start[i]..fanout_start[i+1]` slices
@@ -42,20 +57,59 @@ pub struct Circuit {
     dep_fanout_edges: Vec<NetId>,
     dep_fanout_start: Vec<u32>,
     finalized: bool,
+    memo: Memo,
+}
+
+/// The body's memo slot (see [`Circuit::memo`]). Copying a body — the
+/// first step of any copy-on-write edit — starts it empty, so a derived
+/// value never outlives the exact structure it was derived from.
+#[derive(Default)]
+struct Memo(OnceCell<Rc<dyn Any>>);
+
+impl Clone for Memo {
+    fn clone(&self) -> Memo {
+        Memo::default()
+    }
+}
+
+impl fmt::Debug for Memo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if self.0.get().is_some() { "Memo(set)" } else { "Memo(empty)" })
+    }
+}
+
+impl fmt::Debug for Circuit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.body.fmt(f)
+    }
 }
 
 impl Circuit {
     /// Creates an empty circuit.
     pub fn new(name: impl Into<String>) -> Circuit {
         Circuit {
-            name: name.into(),
-            ..Circuit::default()
+            body: Rc::new(Body {
+                name: name.into(),
+                ..Body::default()
+            }),
         }
     }
 
+    /// Write access for the builder methods: copies the body if another
+    /// handle shares it, then un-seals it and drops its memo — neither
+    /// the fanout tables nor a derived value describe the edited
+    /// structure any more.
+    fn body_mut(&mut self) -> &mut Body {
+        let body = Rc::make_mut(&mut self.body);
+        body.finalized = false;
+        body.memo.0.take();
+        body
+    }
+
     fn push_net(&mut self, net: Net) -> NetId {
-        let id = NetId(self.nets.len() as u32);
-        self.nets.push(net);
+        let nets = &mut self.body_mut().nets;
+        let id = NetId(nets.len() as u32);
+        nets.push(net);
         id
     }
 
@@ -128,7 +182,7 @@ impl Circuit {
     /// later with [`Circuit::set_register_input`] (bodies are translated
     /// before their surrounding control wires exist).
     pub fn register(&mut self, init: bool, label: &'static str) -> (RegId, NetId) {
-        let reg = RegId(self.registers.len() as u32);
+        let reg = RegId(self.body.registers.len() as u32);
         let out = self.push_net(Net {
             kind: NetKind::RegOut(reg),
             fanins: Vec::new(),
@@ -138,7 +192,7 @@ impl Circuit {
             loc: Loc::synthetic(),
             sig_hint: None,
         });
-        self.registers.push(Register {
+        self.body_mut().registers.push(Register {
             input: out, // placeholder, replaced by set_register_input
             output: out,
             init,
@@ -149,28 +203,25 @@ impl Circuit {
 
     /// Connects a register's input equation.
     pub fn set_register_input(&mut self, reg: RegId, input: NetId) {
-        self.registers[reg.index()].input = input;
+        self.body_mut().registers[reg.index()].input = input;
     }
 
     /// Appends a fanin to an existing gate (used to OR contributions into
     /// signal status nets and register inputs incrementally).
     pub fn add_fanin(&mut self, net: NetId, fanin: Fanin) {
-        debug_assert!(matches!(
-            self.nets[net.index()].kind,
-            NetKind::Or | NetKind::And
-        ));
-        self.nets[net.index()].fanins.push(fanin);
+        let n = &mut self.body_mut().nets[net.index()];
+        debug_assert!(matches!(n.kind, NetKind::Or | NetKind::And));
+        n.fanins.push(fanin);
     }
 
     /// Attaches an action to a net.
     pub fn attach_action(&mut self, net: NetId, action: Action) -> ActionId {
-        let id = ActionId(self.actions.len() as u32);
-        self.actions.push(action);
-        assert!(
-            self.nets[net.index()].action.is_none(),
-            "net {net} already has an action"
-        );
-        self.nets[net.index()].action = Some(id);
+        let body = self.body_mut();
+        let id = ActionId(body.actions.len() as u32);
+        body.actions.push(action);
+        let n = &mut body.nets[net.index()];
+        assert!(n.action.is_none(), "net {net} already has an action");
+        n.action = Some(id);
         id
     }
 
@@ -178,116 +229,172 @@ impl Circuit {
     /// self-dependency is kept: it makes the net unresolvable, which the
     /// runtime reports as a causality error (e.g. `emit S(S.nowval)`).
     pub fn add_dep(&mut self, net: NetId, on: NetId) {
-        if !self.nets[net.index()].deps.contains(&on) {
-            self.nets[net.index()].deps.push(on);
+        if !self.body.nets[net.index()].deps.contains(&on) {
+            self.body_mut().nets[net.index()].deps.push(on);
         }
     }
 
     /// Declares a signal instance. The status net must already exist.
     pub fn add_signal(&mut self, info: SignalInfo) -> SignalId {
-        let id = SignalId(self.signals.len() as u32);
-        self.by_name.insert(info.name.clone(), id);
-        self.signals.push(info);
+        let body = self.body_mut();
+        let id = SignalId(body.signals.len() as u32);
+        body.by_name.insert(info.name.clone(), id);
+        body.signals.push(info);
         id
     }
 
     /// Registers an emitter net for a signal (value-readiness tracking).
     pub fn add_emitter(&mut self, signal: SignalId, net: NetId) {
-        self.signals[signal.index()].emitters.push(net);
+        self.body_mut().signals[signal.index()].emitters.push(net);
     }
 
     /// Declares a delay counter.
     pub fn add_counter(&mut self, label: &'static str) -> CounterId {
-        let id = CounterId(self.counters.len() as u32);
-        self.counters.push(CounterInfo { label });
+        let counters = &mut self.body_mut().counters;
+        let id = CounterId(counters.len() as u32);
+        counters.push(CounterInfo { label });
         id
     }
 
     /// Declares an async instance.
     pub fn add_async(&mut self, info: AsyncInfo) -> AsyncId {
-        let id = AsyncId(self.asyncs.len() as u32);
-        self.asyncs.push(info);
+        let asyncs = &mut self.body_mut().asyncs;
+        let id = AsyncId(asyncs.len() as u32);
+        asyncs.push(info);
         id
     }
 
     /// Sets the debug metadata of a net.
     pub fn describe(&mut self, net: NetId, loc: Loc, sig_hint: Option<SignalId>) {
-        let n = &mut self.nets[net.index()];
+        let n = &mut self.body_mut().nets[net.index()];
         n.loc = loc;
         n.sig_hint = sig_hint;
+    }
+
+    /// Sets the boot wire (see [`Circuit::boot_net`]).
+    pub fn set_boot_net(&mut self, net: Option<NetId>) {
+        self.body_mut().boot_net = net;
+    }
+
+    /// Sets the root completion net (see [`Circuit::terminated_net`]).
+    pub fn set_terminated_net(&mut self, net: Option<NetId>) {
+        self.body_mut().terminated_net = net;
     }
 
     // ------------------------------------------------------------------
     // Accessors.
 
+    /// Program name.
+    pub fn name(&self) -> &str {
+        &self.body.name
+    }
+    /// Net that is 1 exactly at the first reaction (the "boot" wire).
+    pub fn boot_net(&self) -> Option<NetId> {
+        self.body.boot_net
+    }
+    /// Root completion net: 1 when the whole program terminates.
+    pub fn terminated_net(&self) -> Option<NetId> {
+        self.body.terminated_net
+    }
     /// All nets.
     pub fn nets(&self) -> &[Net] {
-        &self.nets
+        &self.body.nets
     }
     /// All registers.
     pub fn registers(&self) -> &[Register] {
-        &self.registers
+        &self.body.registers
     }
     /// All signals.
     pub fn signals(&self) -> &[SignalInfo] {
-        &self.signals
+        &self.body.signals
     }
     /// All counters.
     pub fn counters(&self) -> &[CounterInfo] {
-        &self.counters
+        &self.body.counters
     }
     /// All async instances.
     pub fn asyncs(&self) -> &[AsyncInfo] {
-        &self.asyncs
+        &self.body.asyncs
     }
     /// All actions.
     pub fn actions(&self) -> &[Action] {
-        &self.actions
+        &self.body.actions
     }
     /// A net by id.
     pub fn net(&self, id: NetId) -> &Net {
-        &self.nets[id.index()]
+        &self.body.nets[id.index()]
     }
     /// A signal by id.
     pub fn signal(&self, id: SignalId) -> &SignalInfo {
-        &self.signals[id.index()]
+        &self.body.signals[id.index()]
     }
     /// Looks a signal up by (linked) name.
     pub fn signal_by_name(&self, name: &str) -> Option<SignalId> {
-        self.by_name.get(name).copied()
+        self.body.by_name.get(name).copied()
     }
     /// Fanouts of a net with the consuming edge's polarity (requires
     /// [`Circuit::finalize`]).
     pub fn fanouts(&self, id: NetId) -> &[(NetId, bool)] {
-        let s = self.fanout_start[id.index()] as usize;
-        let e = self.fanout_start[id.index() + 1] as usize;
-        &self.fanout_edges[s..e]
+        let b = &*self.body;
+        let s = b.fanout_start[id.index()] as usize;
+        let e = b.fanout_start[id.index() + 1] as usize;
+        &b.fanout_edges[s..e]
     }
     /// Nets depending on `id` (requires [`Circuit::finalize`]).
     pub fn dep_fanouts(&self, id: NetId) -> &[NetId] {
-        let s = self.dep_fanout_start[id.index()] as usize;
-        let e = self.dep_fanout_start[id.index() + 1] as usize;
-        &self.dep_fanout_edges[s..e]
+        let b = &*self.body;
+        let s = b.dep_fanout_start[id.index()] as usize;
+        let e = b.dep_fanout_start[id.index() + 1] as usize;
+        &b.dep_fanout_edges[s..e]
     }
-    /// Whether [`Circuit::finalize`] has run.
+    /// Whether [`Circuit::finalize`] has run since the last edit.
     pub fn is_finalized(&self) -> bool {
-        self.finalized
+        self.body.finalized
+    }
+    /// The value `build` derives from this circuit, memoized in the
+    /// shared body: the first call builds it, and every later call
+    /// through any handle on the same body returns the same `Rc`. The
+    /// memo lives exactly as long as the body — an edit copies or
+    /// clears it — so it can never describe a different structure, and
+    /// a freed body's memo cannot be found through a recycled address.
+    ///
+    /// The body holds one memo. If it already holds a value of another
+    /// type, `build` runs and its result is returned without being
+    /// memoized. `build` must not keep a handle on the circuit, or the
+    /// body would own a value that owns the body.
+    pub fn memo<T: Any>(&self, build: impl FnOnce(&Circuit) -> T) -> Rc<T> {
+        let slot = &self.body.memo.0;
+        if let Some(value) = slot.get() {
+            return match value.clone().downcast::<T>() {
+                Ok(value) => value,
+                Err(_) => Rc::new(build(self)),
+            };
+        }
+        let value = Rc::new(build(self));
+        // `build` may itself have filled the slot; keep the first value.
+        let _ = slot.set(value.clone());
+        value
     }
 
     // ------------------------------------------------------------------
     // Sealing.
 
     /// Computes fanout and dependency-fanout tables; call once after
-    /// construction.
+    /// construction (and again after an edit). Sealing a circuit that is
+    /// already sealed does nothing, so its memo survives.
     ///
     /// The tables are compressed sparse rows: one contiguous edge array
     /// per table plus per-net start offsets, so a reaction's fanout walks
     /// touch dense cache-friendly memory instead of a `Vec` per net.
     pub fn finalize(&mut self) {
-        let n = self.nets.len();
+        if self.body.finalized {
+            return;
+        }
+        let body = self.body_mut();
+        let n = body.nets.len();
         let mut fan_count = vec![0u32; n];
         let mut dep_count = vec![0u32; n];
-        for net in &self.nets {
+        for net in &body.nets {
             for f in &net.fanins {
                 fan_count[f.net.index()] += 1;
             }
@@ -313,7 +420,7 @@ impl Circuit {
         // preserving consumer order within a row.
         let mut fan_cur: Vec<u32> = fanout_start[..n].to_vec();
         let mut dep_cur: Vec<u32> = dep_fanout_start[..n].to_vec();
-        for (i, net) in self.nets.iter().enumerate() {
+        for (i, net) in body.nets.iter().enumerate() {
             for f in &net.fanins {
                 let c = &mut fan_cur[f.net.index()];
                 fanout_edges[*c as usize] = (NetId(i as u32), f.negated);
@@ -325,11 +432,11 @@ impl Circuit {
                 *c += 1;
             }
         }
-        self.fanout_edges = fanout_edges;
-        self.fanout_start = fanout_start;
-        self.dep_fanout_edges = dep_fanout_edges;
-        self.dep_fanout_start = dep_fanout_start;
-        self.finalized = true;
+        body.fanout_edges = fanout_edges;
+        body.fanout_start = fanout_start;
+        body.dep_fanout_edges = dep_fanout_edges;
+        body.dep_fanout_start = dep_fanout_start;
+        body.finalized = true;
     }
 
     /// Structural sanity checks; panics on an internally inconsistent
@@ -341,8 +448,9 @@ impl Circuit {
     /// fanin, inputs/constants/registers with fanins, or actions referring
     /// to out-of-range entities.
     pub fn validate(&self) {
-        let n = self.nets.len() as u32;
-        for (i, net) in self.nets.iter().enumerate() {
+        let b = &*self.body;
+        let n = b.nets.len() as u32;
+        for (i, net) in b.nets.iter().enumerate() {
             for f in &net.fanins {
                 assert!(f.net.0 < n, "net {i}: dangling fanin {}", f.net);
             }
@@ -359,17 +467,17 @@ impl Circuit {
                 NetKind::Or | NetKind::And => {}
             }
             if let Some(a) = net.action {
-                assert!((a.0 as usize) < self.actions.len(), "net {i}: bad action");
+                assert!((a.0 as usize) < b.actions.len(), "net {i}: bad action");
             }
         }
-        for (i, r) in self.registers.iter().enumerate() {
+        for (i, r) in b.registers.iter().enumerate() {
             assert!(r.input.0 < n, "register {i}: dangling input");
             assert!(
-                matches!(self.nets[r.output.index()].kind, NetKind::RegOut(id) if id.index() == i),
+                matches!(b.nets[r.output.index()].kind, NetKind::RegOut(id) if id.index() == i),
                 "register {i}: output net mismatch"
             );
         }
-        for s in &self.signals {
+        for s in &b.signals {
             assert!(s.status_net.0 < n);
             assert!(s.pre_net.0 < n);
             for e in &s.emitters {
@@ -379,12 +487,12 @@ impl Circuit {
     }
 
     // ------------------------------------------------------------------
-    // Rewriting (used by the optimizer; circuit must not be finalized).
+    // Rewriting (used by the optimizer). Like every edit, these un-seal
+    // the circuit: the fanout tables are stale until the next finalize.
 
     /// Replaces a net's fanins and dependency list.
     pub fn set_net_edges(&mut self, id: NetId, fanins: Vec<Fanin>, deps: Vec<NetId>) {
-        assert!(!self.finalized, "cannot rewrite a finalized circuit");
-        let n = &mut self.nets[id.index()];
+        let n = &mut self.body_mut().nets[id.index()];
         n.fanins = fanins;
         n.deps = deps;
     }
@@ -393,12 +501,12 @@ impl Circuit {
     /// nets, emitter lists, async notify wires, boot/terminated) through
     /// `f`.
     pub fn remap_references(&mut self, f: &mut dyn FnMut(NetId) -> NetId) {
-        assert!(!self.finalized, "cannot rewrite a finalized circuit");
-        for r in &mut self.registers {
+        let body = self.body_mut();
+        for r in &mut body.registers {
             r.input = f(r.input);
             // r.output is a RegOut net, never redirected.
         }
-        for s in &mut self.signals {
+        for s in &mut body.signals {
             s.status_net = f(s.status_net);
             s.pre_net = f(s.pre_net);
             if let Some(i) = &mut s.input_net {
@@ -408,13 +516,13 @@ impl Circuit {
                 *e = f(*e);
             }
         }
-        for a in &mut self.asyncs {
+        for a in &mut body.asyncs {
             a.notify_net = f(a.notify_net);
         }
-        if let Some(b) = &mut self.boot_net {
+        if let Some(b) = &mut body.boot_net {
             *b = f(*b);
         }
-        if let Some(t) = &mut self.terminated_net {
+        if let Some(t) = &mut body.terminated_net {
             *t = f(*t);
         }
     }
@@ -427,9 +535,9 @@ impl Circuit {
     /// Panics if a live net references a dead one (the caller must mark
     /// transitively).
     pub fn compact_nets(&mut self, live: &[bool]) {
-        assert!(!self.finalized, "cannot rewrite a finalized circuit");
-        assert_eq!(live.len(), self.nets.len());
-        let mut net_map: Vec<Option<NetId>> = vec![None; self.nets.len()];
+        let body = self.body_mut();
+        assert_eq!(live.len(), body.nets.len());
+        let mut net_map: Vec<Option<NetId>> = vec![None; body.nets.len()];
         let mut next = 0u32;
         for (i, &alive) in live.iter().enumerate() {
             if alive {
@@ -442,9 +550,9 @@ impl Circuit {
         };
 
         // Registers live iff their output net is live.
-        let mut reg_map: Vec<Option<RegId>> = vec![None; self.registers.len()];
+        let mut reg_map: Vec<Option<RegId>> = vec![None; body.registers.len()];
         let mut new_regs = Vec::new();
-        for (i, r) in self.registers.iter().enumerate() {
+        for (i, r) in body.registers.iter().enumerate() {
             if live[r.output.index()] {
                 reg_map[i] = Some(RegId(new_regs.len() as u32));
                 new_regs.push(Register {
@@ -456,7 +564,7 @@ impl Circuit {
             }
         }
 
-        let old = std::mem::take(&mut self.nets);
+        let old = std::mem::take(&mut body.nets);
         for (i, mut net) in old.into_iter().enumerate() {
             if !live[i] {
                 continue;
@@ -470,10 +578,10 @@ impl Circuit {
             if let NetKind::RegOut(r) = &mut net.kind {
                 *r = reg_map[r.index()].expect("live RegOut has live register");
             }
-            self.nets.push(net);
+            body.nets.push(net);
         }
-        self.registers = new_regs;
-        for s in &mut self.signals {
+        body.registers = new_regs;
+        for s in &mut body.signals {
             s.status_net = remap(s.status_net);
             s.pre_net = remap(s.pre_net);
             if let Some(i) = &mut s.input_net {
@@ -483,13 +591,13 @@ impl Circuit {
                 *e = remap(*e);
             }
         }
-        for a in &mut self.asyncs {
+        for a in &mut body.asyncs {
             a.notify_net = remap(a.notify_net);
         }
-        if let Some(b) = &mut self.boot_net {
+        if let Some(b) = &mut body.boot_net {
             *b = remap(*b);
         }
-        if let Some(t) = &mut self.terminated_net {
+        if let Some(t) = &mut body.terminated_net {
             *t = remap(*t);
         }
     }
@@ -528,10 +636,10 @@ impl Circuit {
     /// Panics if the circuit is not finalized (the Kahn pass walks the
     /// fanout tables).
     pub fn levelize(&self) -> Option<Levelization> {
-        assert!(self.finalized, "levelize requires a finalized circuit");
-        let n = self.nets.len();
+        assert!(self.is_finalized(), "levelize requires a finalized circuit");
+        let n = self.nets().len();
         let mut indegree = vec![0u32; n];
-        for (i, net) in self.nets.iter().enumerate() {
+        for (i, net) in self.nets().iter().enumerate() {
             indegree[i] = (net.fanins.len() + net.deps.len()) as u32;
         }
         let mut level_of = vec![0u32; n];
@@ -581,15 +689,16 @@ impl Circuit {
 
     /// Statistics for the paper's §5.3 measurements.
     pub fn stats(&self) -> CircuitStats {
-        let fanin_edges = self.nets.iter().map(|x| x.fanins.len()).sum();
-        let dep_edges = self.nets.iter().map(|x| x.deps.len()).sum();
+        let b = &*self.body;
+        let fanin_edges = b.nets.iter().map(|x| x.fanins.len()).sum();
+        let dep_edges = b.nets.iter().map(|x| x.deps.len()).sum();
         CircuitStats {
-            nets: self.nets.len(),
-            registers: self.registers.len(),
-            signals: self.signals.len(),
-            counters: self.counters.len(),
-            asyncs: self.asyncs.len(),
-            actions: self.actions.len(),
+            nets: b.nets.len(),
+            registers: b.registers.len(),
+            signals: b.signals.len(),
+            counters: b.counters.len(),
+            asyncs: b.asyncs.len(),
+            actions: b.actions.len(),
             fanin_edges,
             dep_edges,
             bytes: self.memory_bytes(),
@@ -598,28 +707,32 @@ impl Circuit {
 
     /// Estimated memory footprint of the circuit structure in bytes
     /// (struct sizes plus owned heap), the analogue of the paper's
-    /// "192 to 216 bytes per net" JavaScript accounting.
+    /// "192 to 216 bytes per net" JavaScript accounting. The body is
+    /// counted once however many handles share it, and without its memo
+    /// slot: what the runtime derives and memoizes there is not
+    /// structure.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut total = size_of::<Circuit>();
-        for net in &self.nets {
+        let b = &*self.body;
+        let mut total = size_of::<Body>() - size_of::<Memo>();
+        for net in &b.nets {
             total += size_of::<Net>();
             total += net.fanins.capacity() * size_of::<Fanin>();
             total += net.deps.capacity() * size_of::<NetId>();
         }
-        total += self.registers.capacity() * size_of::<Register>();
-        total += self.actions.capacity() * size_of::<Action>();
-        total += self.fanout_edges.capacity() * size_of::<(NetId, bool)>();
-        total += self.fanout_start.capacity() * size_of::<u32>();
-        total += self.dep_fanout_edges.capacity() * size_of::<NetId>();
-        total += self.dep_fanout_start.capacity() * size_of::<u32>();
-        for s in &self.signals {
+        total += b.registers.capacity() * size_of::<Register>();
+        total += b.actions.capacity() * size_of::<Action>();
+        total += b.fanout_edges.capacity() * size_of::<(NetId, bool)>();
+        total += b.fanout_start.capacity() * size_of::<u32>();
+        total += b.dep_fanout_edges.capacity() * size_of::<NetId>();
+        total += b.dep_fanout_start.capacity() * size_of::<u32>();
+        for s in &b.signals {
             total += size_of::<SignalInfo>()
                 + s.name.capacity()
                 + s.emitters.capacity() * size_of::<NetId>();
         }
-        total += self.counters.capacity() * size_of::<CounterInfo>();
-        total += self.asyncs.capacity() * size_of::<AsyncInfo>();
+        total += b.counters.capacity() * size_of::<CounterInfo>();
+        total += b.asyncs.capacity() * size_of::<AsyncInfo>();
         total
     }
 
@@ -650,9 +763,9 @@ impl Circuit {
         ];
         let cond = self.condensation();
         let mut s = String::new();
-        let _ = writeln!(s, "digraph \"{}\" {{", self.name);
+        let _ = writeln!(s, "digraph \"{}\" {{", self.name());
         let _ = writeln!(s, "  rankdir=LR; node [fontsize=9];");
-        for (i, net) in self.nets.iter().enumerate() {
+        for (i, net) in self.nets().iter().enumerate() {
             let shape = match net.kind {
                 NetKind::Or => "ellipse",
                 NetKind::And => "box",
@@ -704,7 +817,7 @@ impl Circuit {
                 let _ = writeln!(s, "  n{} -> n{i} [style=dashed,color=gray];", d.index());
             }
         }
-        for r in &self.registers {
+        for r in self.registers() {
             let _ = writeln!(
                 s,
                 "  n{} -> n{} [style=dotted,label=\"reg\"];",
@@ -994,6 +1107,58 @@ mod tests {
         c2.finalize();
         assert!(c2.static_cycles().is_empty());
         assert!(c2.levelize().is_some());
+    }
+
+    #[test]
+    fn clones_share_the_body_and_its_memo_until_edited() {
+        let mut c = Circuit::new("memo");
+        let a = c.input("a");
+        let o = c.or(vec![Fanin::pos(a)], "o");
+        c.finalize();
+        let first = c.memo(|c| c.nets().len());
+        let clone = c.clone();
+        assert!(Rc::ptr_eq(&c.body, &clone.body));
+        assert!(Rc::ptr_eq(&first, &clone.memo::<usize>(|_| unreachable!("memoized"))));
+
+        // An edit through a shared handle copies the body; the copy
+        // starts un-sealed with an empty memo, the original keeps both.
+        let mut edited = clone.clone();
+        edited.add_fanin(o, Fanin::neg(a));
+        assert!(!Rc::ptr_eq(&edited.body, &c.body));
+        assert!(!edited.is_finalized() && c.is_finalized());
+        assert_eq!(*edited.memo(|c| c.nets().len() + 100), 102);
+        assert_eq!(edited.net(o).fanins.len(), 2);
+        assert_eq!(c.net(o).fanins.len(), 1);
+        assert!(Rc::ptr_eq(&first, &c.memo::<usize>(|_| unreachable!("memoized"))));
+
+        // Re-sealing a sealed circuit keeps the memo; an edit drops it
+        // even when no other handle shares the body.
+        c.finalize();
+        assert!(Rc::ptr_eq(&first, &c.memo::<usize>(|_| unreachable!("memoized"))));
+        drop(clone);
+        c.describe(a, Loc::synthetic(), None);
+        assert!(!c.is_finalized());
+        assert_eq!(*c.memo(|_| 7usize), 7);
+
+        // A value of another type is built but not memoized.
+        assert_eq!(*c.memo(|_| "other"), "other");
+        assert_eq!(*c.memo(|_| 8usize), 7);
+    }
+
+    #[test]
+    fn rewriting_a_finalized_circuit_unseals_it() {
+        let mut c = Circuit::new("rewrite");
+        let a = c.input("a");
+        let b = c.input("b");
+        let o = c.or(vec![Fanin::pos(a)], "o");
+        c.finalize();
+        let mut edited = c.clone();
+        edited.set_net_edges(o, vec![Fanin::pos(b)], Vec::new());
+        assert!(!edited.is_finalized());
+        edited.finalize();
+        assert_eq!(edited.fanouts(b), &[(o, false)]);
+        assert!(edited.fanouts(a).is_empty());
+        assert_eq!(c.fanouts(a), &[(o, false)]);
     }
 
     #[test]

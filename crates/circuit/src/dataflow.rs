@@ -433,10 +433,10 @@ pub fn observability(circuit: &Circuit) -> Vec<bool> {
     for a in circuit.asyncs() {
         mark(a.notify_net, &mut observable, &mut queue);
     }
-    if let Some(b) = circuit.boot_net {
+    if let Some(b) = circuit.boot_net() {
         mark(b, &mut observable, &mut queue);
     }
-    if let Some(t) = circuit.terminated_net {
+    if let Some(t) = circuit.terminated_net() {
         mark(t, &mut observable, &mut queue);
     }
     while let Some(id) = queue.pop_front() {

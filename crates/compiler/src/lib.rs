@@ -237,8 +237,8 @@ pub fn compile_linked_full(
     tr.fixup_value_deps();
 
     let mut circuit = tr.c;
-    circuit.boot_net = Some(boot);
-    circuit.terminated_net = compiled.k.first().copied();
+    circuit.set_boot_net(Some(boot));
+    circuit.set_terminated_net(compiled.k.first().copied());
     let report = if options.optimize {
         Some(optimize::optimize_with(&mut circuit, options.dataflow))
     } else {

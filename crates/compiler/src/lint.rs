@@ -148,10 +148,10 @@ fn liveness(circuit: &Circuit) -> Vec<bool> {
     for a in circuit.asyncs() {
         mark(a.notify_net, &mut live, &mut queue);
     }
-    if let Some(b) = circuit.boot_net {
+    if let Some(b) = circuit.boot_net() {
         mark(b, &mut live, &mut queue);
     }
-    if let Some(t) = circuit.terminated_net {
+    if let Some(t) = circuit.terminated_net() {
         mark(t, &mut live, &mut queue);
     }
     while let Some(id) = queue.pop_front() {

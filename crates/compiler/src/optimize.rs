@@ -384,10 +384,10 @@ fn prune_unread_pre_registers(c: &mut Circuit) -> usize {
             referenced[e.index()] = true;
         }
     }
-    if let Some(b) = c.boot_net {
+    if let Some(b) = c.boot_net() {
         referenced[b.index()] = true;
     }
-    if let Some(t) = c.terminated_net {
+    if let Some(t) = c.terminated_net() {
         referenced[t.index()] = true;
     }
     // Every signal name some expression reads at the previous instant.
@@ -482,10 +482,10 @@ fn sweep_dead(c: &mut Circuit) {
     for a in c.asyncs().to_vec() {
         mark(a.notify_net, &mut live, &mut queue);
     }
-    if let Some(b) = c.boot_net {
+    if let Some(b) = c.boot_net() {
         mark(b, &mut live, &mut queue);
     }
-    if let Some(t) = c.terminated_net {
+    if let Some(t) = c.terminated_net() {
         mark(t, &mut live, &mut queue);
     }
 

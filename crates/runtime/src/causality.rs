@@ -138,7 +138,7 @@ pub(crate) fn analyze(
     };
 
     let report = |nets: &[usize], is_cycle: bool| CausalityReport {
-        program: circuit.name.clone(),
+        program: circuit.name().to_owned(),
         seq,
         undetermined,
         is_cycle,

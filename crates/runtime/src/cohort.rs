@@ -42,7 +42,6 @@ use crate::telemetry::{ReactionStats, TraceEvent};
 use hiphop_circuit::{Action, Circuit, NetKind, TestKind};
 use hiphop_core::expr::SigAccess;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::time::Instant;
 
 /// Sessions per `u64` lane word: two bits per session (value + determined).
@@ -75,7 +74,7 @@ impl std::str::FromStr for CohortWidth {
 }
 
 /// Per-circuit execution recipe for the cohort sweep, built once per
-/// machine and cached on it: for every effectful net (test, early or
+/// program and memoized in it: for every effectful net (test, early or
 /// late action), the exact set of nets whose packed values must be
 /// scattered into the lane machine before its scalar evaluation runs.
 ///
@@ -96,7 +95,7 @@ pub struct CohortPlan {
     prefix: Vec<bool>,
 }
 
-fn build_plan(circuit: &Circuit, sched: &LevelSchedule) -> CohortPlan {
+pub(crate) fn build_plan(circuit: &Circuit, sched: &LevelSchedule) -> CohortPlan {
     let n = circuit.nets().len();
     let mut scatter: Vec<Box<[u32]>> = Vec::with_capacity(n);
     let mut prefix = vec![false; n];
@@ -150,40 +149,13 @@ fn build_plan(circuit: &Circuit, sched: &LevelSchedule) -> CohortPlan {
     CohortPlan { scatter, prefix }
 }
 
-// FNV-1a folding eight bytes per round: the schedule tables digested by
-// `cohort_key` run to ~16 bytes per net, and a per-byte loop over them
-// is slow enough to show up next to the sweep itself.
-fn fnv_bytes(h: &mut u64, bytes: &[u8]) {
-    let mut chunks = bytes.chunks_exact(8);
-    for c in chunks.by_ref() {
-        *h ^= u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    for &b in chunks.remainder() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
-fn fnv_u32s(h: &mut u64, words: &[u32]) {
-    let mut chunks = words.chunks_exact(2);
-    for c in chunks.by_ref() {
-        *h ^= u64::from(c[0]) | (u64::from(c[1]) << 32);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    for &word in chunks.remainder() {
-        *h ^= u64::from(word);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// Whether this machine can join a cohort at all: the levelized engine
 /// must be in effect (automatically or by request) and no per-net
 /// observability that the shared sweep cannot reproduce may be armed
 /// (fine-grained net events, per-level activity accounting). Ineligible
 /// machines simply stay on the scalar path.
 fn eligible(m: &Machine) -> bool {
-    m.schedule.is_some()
+    m.program.schedule.is_some()
         && matches!(m.requested, None | Some(EngineMode::Levelized))
         && !m.fine_events
         && m.level_activity.is_none()
@@ -195,39 +167,11 @@ fn eligible(m: &Machine) -> bool {
 /// not cohort-eligible (cyclic circuit, non-levelized engine request,
 /// fine-grained tracing) and must stay on the scalar path.
 ///
-/// The key hashes the schedule's structure rather than comparing circuit
-/// pointers because every machine owns its own clone of the circuit.
+/// The key is the program's memoized [`crate::circuit_struct_hash`], so
+/// machines of separately compiled but identical circuits still group
+/// together; only eligibility is re-checked per call.
 pub fn cohort_key(m: &Machine) -> Option<u64> {
-    if !eligible(m) {
-        return None;
-    }
-    // The tables below are immutable after construction, so the hash is
-    // memoized on the machine — the pool asks for every session's key
-    // every tick, and re-digesting ~4 words per net each time would
-    // rival the sweep itself.
-    if let Some(h) = m.cohort_struct_key.get() {
-        return Some(h);
-    }
-    let sched = m.schedule.as_ref()?;
-    let c = &m.circuit;
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    fnv_bytes(&mut h, c.name.as_bytes());
-    for dim in [
-        c.nets().len(),
-        c.signals().len(),
-        c.registers().len(),
-        c.counters().len(),
-        c.asyncs().len(),
-    ] {
-        fnv_bytes(&mut h, &(dim as u64).to_le_bytes());
-    }
-    fnv_u32s(&mut h, &sched.order);
-    fnv_bytes(&mut h, &sched.code);
-    fnv_u32s(&mut h, &sched.aux);
-    fnv_u32s(&mut h, &sched.fanin_start);
-    fnv_u32s(&mut h, &sched.fanin_edges);
-    m.cohort_struct_key.set(Some(h));
-    Some(h)
+    eligible(m).then(|| m.program.struct_hash(&m.circuit))
 }
 
 #[inline]
@@ -357,15 +301,9 @@ pub fn react_cohort(
         "react_cohort lanes must share one cohort_key"
     );
     let circuit = lanes[0].circuit.clone();
-    let sched = lanes[0].schedule.clone().expect("eligible lane has a schedule");
-    let plan = match &lanes[0].cohort_plan {
-        Some(p) => p.clone(),
-        None => {
-            let p = Rc::new(build_plan(&circuit, &sched));
-            lanes[0].cohort_plan = Some(p.clone());
-            p
-        }
-    };
+    let program = lanes[0].program.clone();
+    let sched = program.schedule.as_deref().expect("eligible lane has a schedule");
+    let plan = program.cohort_plan(&circuit);
 
     let n = circuit.nets().len();
     let nsig = circuit.signals().len();
@@ -453,7 +391,7 @@ pub fn react_cohort(
                 }
             }
             code @ (CODE_OR | CODE_AND) => {
-                fold_gate(&rows, &sched, i, w, code == CODE_OR, &mut acc, &present, wide);
+                fold_gate(&rows, sched, i, w, code == CODE_OR, &mut acc, &present, wide);
                 for wi in 0..w {
                     rows[base + wi] = DET_MASK | acc[wi];
                 }
@@ -487,7 +425,7 @@ pub fn react_cohort(
             }
             code @ (CODE_OR_EARLY | CODE_AND_EARLY | CODE_OR_LATE | CODE_AND_LATE) => {
                 let or_gate = matches!(code, CODE_OR_EARLY | CODE_OR_LATE);
-                fold_gate(&rows, &sched, i, w, or_gate, &mut acc, &present, wide);
+                fold_gate(&rows, sched, i, w, or_gate, &mut acc, &present, wide);
                 for wi in 0..w {
                     let mut bits = acc[wi] & alive[wi];
                     while bits != 0 {
@@ -551,13 +489,14 @@ pub fn react_cohort(
         for (si, info) in circuit.signals().iter().enumerate() {
             m.last_present[si] = bit(info.status_net.index());
         }
-        if let Some(t) = circuit.terminated_net {
+        if let Some(t) = circuit.terminated_net() {
             if bit(t.index()) {
                 m.terminated = true;
             }
         }
-        let outs = m.out_signals.clone();
-        let outputs = outs
+        let outputs = m
+            .program
+            .out_signals
             .iter()
             .map(|(i, name)| OutputEvent {
                 name: name.clone(),

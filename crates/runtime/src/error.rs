@@ -80,7 +80,7 @@ pub enum RuntimeError {
         payload: String,
     },
     /// A circuit handed to [`crate::Machine::new`] / `hot_swap` was not
-    /// finalized with `Circuit::finish()`.
+    /// finalized with `Circuit::finalize()` (or was edited since).
     UnfinalizedCircuit {
         /// The circuit's program name.
         program: String,
@@ -119,7 +119,7 @@ impl fmt::Display for RuntimeError {
                 write!(f, "host code panicked at {source_loc}: {payload} (reaction rolled back)")
             }
             RuntimeError::UnfinalizedCircuit { program } => {
-                write!(f, "circuit `{program}` is not finalized (call Circuit::finish() first)")
+                write!(f, "circuit `{program}` is not finalized (call Circuit::finalize() first)")
             }
         }
     }

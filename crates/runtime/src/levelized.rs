@@ -19,7 +19,7 @@
 //! states (one value bit, one determined bit — the latter only checked
 //! by debug assertions, since the order guarantees determinacy).
 
-use crate::machine::Class;
+use crate::program::Class;
 use hiphop_circuit::{Circuit, Condensation, NetKind};
 use std::fmt;
 use std::rc::Rc;
@@ -30,7 +30,7 @@ use std::str::FromStr;
 /// All three engines implement the same constructive semantics and must
 /// agree on every reaction (the differential test battery checks this);
 /// they differ in how the least fixpoint is reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineMode {
     /// Dense level-ordered sweep, available only for statically acyclic
     /// circuits (no queue, no ⊥-bookkeeping). Selected automatically
@@ -39,7 +39,6 @@ pub enum EngineMode {
     /// The constructive FIFO event engine (paper §5.2): linear-time
     /// queue propagation in ternary logic, with causality-deadlock
     /// reporting. The only engine able to run cyclic circuits.
-    #[default]
     Constructive,
     /// The O(nets²) reference engine: full sweeps to fixpoint, used as
     /// an independent oracle in the differential tests.
@@ -346,7 +345,6 @@ mod tests {
             assert_eq!(m.to_string(), m.name());
         }
         assert!("queue".parse::<EngineMode>().is_err());
-        assert_eq!(EngineMode::default(), EngineMode::Constructive);
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod flight;
 pub mod isolate;
 pub mod levelized;
 pub mod machine;
+mod program;
 pub mod snapshot;
 mod sparse;
 pub mod telemetry;
@@ -83,7 +84,7 @@ use hiphop_core::module::{Module, ModuleRegistry};
 /// [`CausalityReport`] — no reaction needs to run.
 pub fn machine_for(main: &Module, registry: &ModuleRegistry) -> Result<Machine, CompileError> {
     let compiled = compile_module(main, registry)?;
-    let program = compiled.circuit.name.clone();
+    let program = compiled.circuit.name().to_owned();
     Machine::new(compiled.circuit).map_err(|e| match e {
         RuntimeError::Causality { report, .. } => CompileError::NonConstructive {
             program,

@@ -15,21 +15,21 @@ use crate::causality::analyze;
 use crate::env::{AtomView, EnvView};
 use crate::error::RuntimeError;
 use crate::levelized::{
-    Block, EngineMode, HybridSchedule, LevelSchedule, PackedStates, CODE_AND, CODE_AND_EARLY,
-    CODE_AND_LATE, CODE_CONST0, CODE_CONST1, CODE_INPUT, CODE_OR, CODE_OR_EARLY, CODE_OR_LATE,
-    CODE_REG, CODE_TEST,
+    Block, EngineMode, LevelSchedule, PackedStates, CODE_AND, CODE_AND_EARLY, CODE_AND_LATE,
+    CODE_CONST0, CODE_CONST1, CODE_INPUT, CODE_OR, CODE_OR_EARLY, CODE_OR_LATE, CODE_REG,
+    CODE_TEST,
 };
 use crate::isolate::guarded;
+use crate::program::{Class, Program};
 use crate::telemetry::{
     AsyncPhase, LevelActivity, Metrics, MetricsSink, ReactionStats, SharedSink, SinkSet, TraceEvent,
 };
 use hiphop_circuit::{Action, AsyncId, Circuit, NetId, NetKind, SignalId, TestKind};
 use hiphop_core::ast::{AsyncCtx, AtomBody};
 use crate::snapshot::{
-    circuit_struct_hash, engine_from_tag, engine_tag, AsyncSnapshot, ChaosSnapshot,
-    MachineSnapshot, SnapshotError,
+    engine_from_tag, engine_tag, AsyncSnapshot, ChaosSnapshot, MachineSnapshot, SnapshotError,
 };
-use crate::sparse::SparseState;
+use crate::sparse::{SparseState, SparseTables};
 use hiphop_core::mailbox::{AsyncHandle, MachineOp, Mailbox};
 use hiphop_core::rng::Rng;
 use hiphop_core::value::Value;
@@ -38,30 +38,10 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::time::Instant;
 
-/// Per-net evaluation strategy, precomputed at machine construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Class {
-    /// Const / Input / RegOut: determined at reaction start.
-    Source,
-    /// Plain gate, no side effect.
-    Gate,
-    /// Data test: evaluates once its control and dependencies stabilize.
-    Test,
-    /// Gate with an *early* action (signal emission): the boolean value
-    /// propagates immediately; the side effect waits for dependencies.
-    /// This keeps signal *status* propagation independent from *value*
-    /// computation, as in Esterel.
-    Early,
-    /// Gate with a *late* action (atoms, counters, async hooks): the net
-    /// is determined only after the side effect ran, so sequential host
-    /// state updates are ordered before downstream control.
-    Late,
-}
-
 /// One output signal's snapshot after a reaction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutputEvent {
-    /// Signal name. Interned per machine (`Arc<str>`): a reaction is
+    /// Signal name. Interned per program (`Arc<str>`): a reaction is
     /// built — and cloned on its way through the session pool — once per
     /// session per instant, so the names must not re-allocate each time.
     pub name: std::sync::Arc<str>,
@@ -138,15 +118,15 @@ struct Chaos {
     rate: f64,
 }
 
-/// A running reactive machine.
+/// A running reactive machine: a circuit handle, the shared `Program`
+/// derived from it, and this session's own state planes.
 ///
 /// Fields the cohort engine (`crate::cohort`) touches are `pub(crate)`:
 /// the cohort sweep executes each lane's begin/commit phases out-of-line
 /// while the shared bit-parallel sweep owns the pure gates.
 pub struct Machine {
-    pub(crate) circuit: Rc<Circuit>,
-    class: Vec<Class>,
-    is_or: Vec<bool>,
+    pub(crate) circuit: Circuit,
+    pub(crate) program: Rc<Program>,
 
     // Persistent state.
     pub(crate) regs: Vec<bool>,
@@ -191,12 +171,9 @@ pub struct Machine {
     pub(crate) poisoned: bool,
     chaos: Option<Chaos>,
 
-    // Engine selection: `schedule` exists iff the circuit is acyclic;
-    // `hybrid` always exists (non-constructive circuits are rejected at
-    // construction); `requested` is the user's explicit choice (`None` =
-    // automatic).
-    pub(crate) schedule: Option<Rc<LevelSchedule>>,
-    hybrid: Rc<HybridSchedule>,
+    // Engine selection: the program's level schedule exists iff the
+    // circuit is acyclic; `requested` is the user's explicit choice
+    // (`None` = automatic).
     pub(crate) requested: Option<EngineMode>,
     lv_state: PackedStates,
     // Dirty-set state of the sparse incremental engine; its baseline
@@ -212,23 +189,12 @@ pub struct Machine {
     // maintained only while level-activity accounting is armed).
     la_block_evals: Vec<u64>,
 
-    // Lazily built, per-circuit cohort execution plan (scatter lists for
-    // effectful nets); see `crate::cohort`.
-    pub(crate) cohort_plan: Option<Rc<crate::cohort::CohortPlan>>,
-    // Memoized structural hash for `crate::cohort::cohort_key`: the
-    // schedule tables it digests are immutable after construction, so
-    // the hash is computed once (eligibility stays dynamic).
-    pub(crate) cohort_struct_key: std::cell::Cell<Option<u64>>,
-    // Output-direction interface signals as (signal index, interned
-    // name): every reaction snapshots them, so the names are interned
-    // once here instead of being re-allocated per instant.
-    pub(crate) out_signals: Rc<[(u32, std::sync::Arc<str>)]>,
 }
 
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Machine")
-            .field("program", &self.circuit.name)
+            .field("program", &self.circuit.name())
             .field("nets", &self.circuit.nets().len())
             .field("seq", &self.seq)
             .field("terminated", &self.terminated)
@@ -239,11 +205,18 @@ impl std::fmt::Debug for Machine {
 impl Machine {
     /// Wraps a finalized circuit into a fresh machine.
     ///
+    /// The program derived from the circuit (`Program`: net classes,
+    /// schedules, output table, structural hash, cohort plan, sparse
+    /// tables) is memoized in the circuit's shared body, so machines
+    /// built on clones of one circuit share it and each pays only for
+    /// its own state planes.
+    ///
     /// # Errors
     ///
     /// [`RuntimeError::UnfinalizedCircuit`] if the circuit was not
     /// [`Circuit::finalize`]d (the compiler always finalizes, so
-    /// `machine_for` unwraps; hand-built circuits must call `finish()`).
+    /// `machine_for` unwraps; hand-built or edited circuits must call
+    /// `finalize()`).
     ///
     /// [`RuntimeError::Causality`] if the static constructiveness
     /// analysis proves a combinational cycle can never stabilize (the
@@ -253,25 +226,11 @@ impl Machine {
     pub fn new(circuit: Circuit) -> Result<Machine, RuntimeError> {
         if !circuit.is_finalized() {
             return Err(RuntimeError::UnfinalizedCircuit {
-                program: circuit.name.clone(),
+                program: circuit.name().to_owned(),
             });
         }
+        let program = Program::of(&circuit)?;
         let n = circuit.nets().len();
-        let mut class = Vec::with_capacity(n);
-        let mut is_or = Vec::with_capacity(n);
-        for net in circuit.nets() {
-            is_or.push(!matches!(net.kind, NetKind::And));
-            let c = match &net.kind {
-                NetKind::Const(_) | NetKind::Input | NetKind::RegOut(_) => Class::Source,
-                NetKind::Test(_) => Class::Test,
-                NetKind::Or | NetKind::And => match net.action.map(|a| &circuit.actions()[a.index()]) {
-                    None => Class::Gate,
-                    Some(Action::Emit { .. }) | Some(Action::AsyncDone(_)) => Class::Early,
-                    Some(_) => Class::Late,
-                },
-            };
-            class.push(c);
-        }
         let regs = circuit.registers().iter().map(|r| r.init).collect();
         let sig_val: Vec<Value> = circuit
             .signals()
@@ -289,43 +248,8 @@ impl Machine {
             })
             .collect();
         let nsig = circuit.signals().len();
-        let out_signals: Rc<[(u32, std::sync::Arc<str>)]> = circuit
-            .signals()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.direction.is_output())
-            .map(|(i, s)| (i as u32, std::sync::Arc::from(s.name.as_str())))
-            .collect();
-        // Acyclicity analysis: precompute the dense level schedule when
-        // the combinational graph levelizes (the common case). Cyclic
-        // circuits run the static constructiveness analysis: provably
-        // non-constructive ones are rejected here — before any reaction —
-        // and the rest get an SCC-condensed hybrid schedule.
-        let schedule = LevelSchedule::build(&circuit, &class).map(Rc::new);
-        let hybrid = match &schedule {
-            Some(s) => Rc::new(HybridSchedule::acyclic(s.clone())),
-            None => {
-                let analysis = circuit.constructiveness();
-                if let Some(members) = analysis.first_non_constructive() {
-                    let mut stuck = vec![false; n];
-                    for m in members {
-                        stuck[m.index()] = true;
-                    }
-                    let report = analyze(&circuit, &stuck, members.len(), 0);
-                    return Err(RuntimeError::Causality {
-                        cycle: report.nets.clone(),
-                        undetermined: members.len(),
-                        report,
-                    });
-                }
-                Rc::new(HybridSchedule::cyclic(&circuit, &class, &analysis.condensation))
-            }
-        };
         Ok(Machine {
-            schedule,
-            hybrid,
-            class,
-            is_or,
+            program,
             regs,
             sig_preval: sig_val.clone(),
             sig_val,
@@ -364,10 +288,7 @@ impl Machine {
             level_activity: None,
             prev_value: Vec::new(),
             la_block_evals: Vec::new(),
-            cohort_plan: None,
-            cohort_struct_key: std::cell::Cell::new(None),
-            out_signals,
-            circuit: Rc::new(circuit),
+            circuit,
         })
     }
 
@@ -387,7 +308,7 @@ impl Machine {
     pub fn engine(&self) -> EngineMode {
         match self.requested {
             Some(EngineMode::Levelized) | None => {
-                if self.schedule.is_some() {
+                if self.program.schedule.is_some() {
                     EngineMode::Levelized
                 } else {
                     EngineMode::Hybrid
@@ -397,7 +318,7 @@ impl Machine {
             // circuits fall back to the hybrid engine (same rule as a
             // levelized request).
             Some(EngineMode::Sparse) => {
-                if self.schedule.is_some() {
+                if self.program.schedule.is_some() {
                     EngineMode::Sparse
                 } else {
                     EngineMode::Hybrid
@@ -410,7 +331,7 @@ impl Machine {
     /// Whether the circuit levelizes (acyclic combinational graph);
     /// reports `(levels, max_level_width)` of the dense schedule.
     pub fn levelization(&self) -> Option<(usize, usize)> {
-        self.schedule.as_ref().map(|s| (s.levels, s.max_width))
+        self.program.schedule.as_ref().map(|s| (s.levels, s.max_width))
     }
 
     /// Switches to the *naive* propagation engine: instead of the
@@ -693,10 +614,10 @@ impl Machine {
     /// sparse engine skips. Constructive/naive reactions have no level
     /// structure and are not tallied; sparse reactions tally inline
     /// (skipped levels report 0, see `react_core_sparse`).
-    fn tally_level_activity(&mut self, engine: EngineMode) {
+    fn tally_level_activity(&mut self, program: &Program, engine: EngineMode) {
         let sched = match engine {
-            EngineMode::Levelized => self.schedule.clone(),
-            EngineMode::Hybrid => Some(self.hybrid.sched.clone()),
+            EngineMode::Levelized => program.schedule.as_deref(),
+            EngineMode::Hybrid => Some(&*program.hybrid.sched),
             _ => None,
         };
         let Some(sched) = sched else { return };
@@ -856,8 +777,8 @@ impl Machine {
             .collect();
         vars.sort_by(|a, b| a.0.cmp(&b.0));
         MachineSnapshot {
-            program: self.circuit.name.clone(),
-            struct_hash: circuit_struct_hash(&self.circuit),
+            program: self.circuit.name().to_owned(),
+            struct_hash: self.program.struct_hash(&self.circuit),
             engine: self.requested.map(|m| engine_tag(m).to_owned()),
             regs: self.regs.clone(),
             sig_val: self.sig_val.clone(),
@@ -893,10 +814,11 @@ impl Machine {
 
     /// Overwrites this machine's persistent state with a durable
     /// snapshot. The machine must be compiled from a structurally
-    /// identical circuit — guarded by [`circuit_struct_hash`], so a
-    /// snapshot refuses to load into a different program. Staged inputs,
-    /// staged notifications and queued mailbox operations are discarded:
-    /// a restore lands exactly on a committed instant boundary.
+    /// identical circuit — guarded by [`crate::circuit_struct_hash`]
+    /// (memoized in the program), so a snapshot refuses to load into a
+    /// different program. Staged inputs, staged notifications and queued
+    /// mailbox operations are discarded: a restore lands exactly on a
+    /// committed instant boundary.
     ///
     /// # Errors
     ///
@@ -904,11 +826,11 @@ impl Machine {
     /// [`SnapshotError::Malformed`] if the snapshot's state planes do
     /// not match the circuit's dimensions.
     pub fn restore(&mut self, snap: &MachineSnapshot) -> Result<(), SnapshotError> {
-        let expected = circuit_struct_hash(&self.circuit);
+        let expected = self.program.struct_hash(&self.circuit);
         if snap.struct_hash != expected {
             return Err(SnapshotError::CircuitMismatch {
                 found: (snap.program.clone(), snap.struct_hash),
-                expected: (self.circuit.name.clone(), expected),
+                expected: (self.circuit.name().to_owned(), expected),
             });
         }
         if snap.regs.len() != self.regs.len()
@@ -973,6 +895,7 @@ impl Machine {
 
     fn react_core(&mut self) -> Result<Reaction, RuntimeError> {
         let circuit = self.circuit.clone();
+        let program = self.program.clone();
         let engine = self.engine();
 
         // Telemetry: time the reaction only when someone is listening.
@@ -989,7 +912,7 @@ impl Machine {
 
         let mut sparse_rebuild = false;
         if engine == EngineMode::Sparse {
-            sparse_rebuild = self.sparse_react(&circuit)?;
+            sparse_rebuild = self.sparse_react(&circuit, &program)?;
         } else {
         // Any non-sparse instant invalidates the sparse baseline — the
         // shared `value` plane is about to be overwritten wholesale.
@@ -1038,12 +961,12 @@ impl Machine {
         if engine == EngineMode::Levelized {
             // One dense sweep in topological level order; every net is
             // determined by construction, so no constructive check.
-            self.levelized_fixpoint(&circuit, &input_present, &mut emit_count)?;
+            self.levelized_fixpoint(&circuit, &program, &input_present, &mut emit_count)?;
         } else if engine == EngineMode::Hybrid {
             // Dense sweeps over acyclic regions in condensation order;
             // each nontrivial SCC iterates locally to its constructive
             // fixpoint (with a per-SCC causality check).
-            self.hybrid_fixpoint(&circuit, &input_present, &mut emit_count)?;
+            self.hybrid_fixpoint(&circuit, &program, &input_present, &mut emit_count)?;
         } else {
             // Determine sources.
             for (i, net) in circuit.nets().iter().enumerate() {
@@ -1126,7 +1049,7 @@ impl Machine {
         }
 
         if self.level_activity.is_some() {
-            self.tally_level_activity(engine);
+            self.tally_level_activity(&program, engine);
         }
         } // end non-sparse branch
 
@@ -1143,15 +1066,15 @@ impl Machine {
             for (s, info) in circuit.signals().iter().enumerate() {
                 self.last_present[s] = self.value[info.status_net.index()] == 1;
             }
-            if let Some(t) = circuit.terminated_net {
+            if let Some(t) = circuit.terminated_net() {
                 if self.value[t.index()] == 1 {
                     self.terminated = true;
                 }
             }
         }
 
-        let outs = self.out_signals.clone();
-        let outputs = outs
+        let outputs = program
+            .out_signals
             .iter()
             .map(|(i, name)| OutputEvent {
                 name: name.clone(),
@@ -1333,11 +1256,10 @@ impl Machine {
         fresh.sinks = std::mem::take(&mut self.sinks);
         fresh.fine_events = self.fine_events;
         fresh.metrics = self.metrics.take();
-        // Carry the engine *request*, not the old resolution:
-        // `Machine::new` already rebuilt the levelized schedule for the
-        // new circuit (or found it cyclic), so the effective engine is
-        // re-resolved against the fresh acyclicity analysis rather than
-        // reusing a stale schedule.
+        // Carry the engine *request*, not the old resolution: the new
+        // circuit's program has its own level schedule (or none, when
+        // the circuit is cyclic), so the effective engine is re-resolved
+        // against it rather than reusing a stale schedule.
         fresh.requested = self.requested;
         fresh.rollback = self.rollback;
         fresh.chaos = self.chaos.take();
@@ -1359,19 +1281,20 @@ impl Machine {
     fn levelized_fixpoint(
         &mut self,
         circuit: &Circuit,
+        program: &Program,
         input_present: &[bool],
         emit_count: &mut [u32],
     ) -> Result<(), RuntimeError> {
-        let sched = self
+        let sched = program
             .schedule
-            .clone()
+            .as_deref()
             .expect("levelized engine without a schedule");
         // The packed states live outside `self` during the sweep so the
         // fold can read them while actions borrow `self` mutably.
         let mut state = std::mem::take(&mut self.lv_state);
         state.reset(circuit.nets().len());
         let end = sched.order.len();
-        let result = self.sweep_range(circuit, &sched, &mut state, input_present, emit_count, 0..end);
+        let result = self.sweep_range(circuit, sched, &mut state, input_present, emit_count, 0..end);
         self.lv_state = state;
         result
     }
@@ -1384,10 +1307,11 @@ impl Machine {
     fn hybrid_fixpoint(
         &mut self,
         circuit: &Circuit,
+        program: &Program,
         input_present: &[bool],
         emit_count: &mut [u32],
     ) -> Result<(), RuntimeError> {
-        let hybrid = self.hybrid.clone();
+        let hybrid = &program.hybrid;
         let mut state = std::mem::take(&mut self.lv_state);
         state.reset(circuit.nets().len());
         let armed = self.level_activity.is_some();
@@ -1449,7 +1373,7 @@ impl Machine {
         // SCCs may contain them; seed them like the FIFO engine does.
         for &id in members {
             let i = id as usize;
-            if self.class[i] == Class::Source {
+            if self.program.class[i] == Class::Source {
                 let v = match circuit.nets()[i].kind {
                     NetKind::Const(c) => c,
                     NetKind::Input => input_present[i],
@@ -1577,12 +1501,13 @@ impl Machine {
     /// sweep when the baseline is invalid), and leaves deferred commit
     /// records for [`Machine::sparse_commit`]. Returns whether this
     /// instant rebuilt the baseline.
-    fn sparse_react(&mut self, circuit: &Rc<Circuit>) -> Result<bool, RuntimeError> {
-        let sched = self
+    fn sparse_react(&mut self, circuit: &Circuit, program: &Program) -> Result<bool, RuntimeError> {
+        let sched = program
             .schedule
-            .clone()
+            .as_deref()
             .expect("sparse engine without a schedule");
-        self.sparse.ensure_built(circuit, &sched);
+        let tables = program.sparse(circuit);
+        self.sparse.ensure_built(circuit, tables);
         let rebuild = !self.sparse.valid;
         // Pessimistic: stays false until this instant commits, so any
         // error path (rollback restores the signal planes, but `value`
@@ -1628,11 +1553,8 @@ impl Machine {
             for &s in &touched {
                 let si = s as usize;
                 if self.sig_val[si] != self.sig_preval[si] {
-                    for k in self.sparse.sig_subs_start[si] as usize
-                        ..self.sparse.sig_subs_start[si + 1] as usize
-                    {
-                        let sub = self.sparse.sig_subs[k];
-                        self.sparse.mark_dirty(sub);
+                    for &sub in tables.sig_subs(si) {
+                        self.sparse.mark_dirty(tables, sub);
                     }
                     self.sig_preval[si] = self.sig_val[si].clone();
                 }
@@ -1668,11 +1590,8 @@ impl Machine {
                 if !rebuild {
                     // The value plane changed outside any net: wake the
                     // subscribed readers.
-                    for k in self.sparse.sig_subs_start[si] as usize
-                        ..self.sparse.sig_subs_start[si + 1] as usize
-                    {
-                        let sub = self.sparse.sig_subs[k];
-                        self.sparse.mark_dirty(sub);
+                    for &sub in tables.sig_subs(si) {
+                        self.sparse.mark_dirty(tables, sub);
                     }
                 }
             }
@@ -1690,9 +1609,9 @@ impl Machine {
 
         self.sparse.tracking = true;
         let result = if rebuild {
-            self.sparse_rebuild_sweep(circuit, &sched, &mut emit_count, armed)
+            self.sparse_rebuild_sweep(circuit, sched, tables, &mut emit_count, armed)
         } else {
-            self.sparse_incremental_sweep(circuit, &sched, &mut emit_count, armed)
+            self.sparse_incremental_sweep(circuit, sched, tables, &mut emit_count, armed)
         };
         self.sparse.tracking = false;
         self.sparse.emit_count = emit_count;
@@ -1708,17 +1627,18 @@ impl Machine {
         &mut self,
         circuit: &Circuit,
         sched: &LevelSchedule,
+        tables: &SparseTables,
         emit_count: &mut [u32],
         armed: bool,
     ) -> Result<(), RuntimeError> {
         for pos in 0..sched.order.len() {
             let id = sched.order[pos];
             let i = id as usize;
-            let v = self.sparse_eval_net(circuit, sched, id, emit_count)?;
+            let v = self.sparse_eval_net(circuit, sched, tables, id, emit_count)?;
             let nv = v as i8;
             self.value[i] = nv;
             if armed {
-                let l = self.sparse.level_of[i] as usize;
+                let l = tables.level_of[i] as usize;
                 self.sparse.level_evals[l] += 1;
                 if self.prev_value[i] != nv {
                     self.sparse.level_changed[l] += 1;
@@ -1740,6 +1660,7 @@ impl Machine {
         &mut self,
         circuit: &Circuit,
         sched: &LevelSchedule,
+        tables: &SparseTables,
         emit_count: &mut [u32],
         armed: bool,
     ) -> Result<(), RuntimeError> {
@@ -1748,26 +1669,26 @@ impl Machine {
         for k in 0..self.sparse.prev_present.len() {
             let id = self.sparse.prev_present[k];
             if (self.sparse.in_present[id as usize] as i8) != self.value[id as usize] {
-                self.sparse.mark_dirty(id);
+                self.sparse.mark_dirty(tables, id);
             }
         }
         for k in 0..self.sparse.present_nets.len() {
             let id = self.sparse.present_nets[k];
             if (self.sparse.in_present[id as usize] as i8) != self.value[id as usize] {
-                self.sparse.mark_dirty(id);
+                self.sparse.mark_dirty(tables, id);
             }
         }
         // Seed: registers rewritten by the previous commit.
         for k in 0..self.sparse.pending_reg_nets.len() {
             let id = self.sparse.pending_reg_nets[k];
-            self.sparse.mark_dirty(id);
+            self.sparse.mark_dirty(tables, id);
         }
         self.sparse.pending_reg_nets.clear();
         // Seed: the standing hot set (compacting lazily removed nets).
         let mut hot = std::mem::take(&mut self.sparse.hot);
         hot.retain(|&id| {
             if self.sparse.in_hot[id as usize] {
-                self.sparse.mark_dirty(id);
+                self.sparse.mark_dirty(tables, id);
                 true
             } else {
                 false
@@ -1787,7 +1708,7 @@ impl Machine {
             for &id in &list {
                 let i = id as usize;
                 self.sparse.dirty[i] = false;
-                let v = self.sparse_eval_net(circuit, sched, id, emit_count)?;
+                let v = self.sparse_eval_net(circuit, sched, tables, id, emit_count)?;
                 self.events += 1;
                 let nv = v as i8;
                 if armed {
@@ -1802,34 +1723,19 @@ impl Machine {
                     // Changed: wake value fanouts, dependency fanouts
                     // (expression readers) and pre-net subscribers —
                     // all at strictly higher levels.
-                    for k in 0..circuit.fanouts(NetId(id)).len() {
-                        let t = circuit.fanouts(NetId(id))[k].0;
-                        self.sparse.mark_dirty(t.0);
+                    for &(t, _) in circuit.fanouts(NetId(id)) {
+                        self.sparse.mark_dirty(tables, t.0);
                     }
-                    for k in 0..circuit.dep_fanouts(NetId(id)).len() {
-                        let d = circuit.dep_fanouts(NetId(id))[k];
-                        self.sparse.mark_dirty(d.0);
+                    for &d in circuit.dep_fanouts(NetId(id)) {
+                        self.sparse.mark_dirty(tables, d.0);
                     }
-                    for k in self.sparse.net_subs_start[i] as usize
-                        ..self.sparse.net_subs_start[i + 1] as usize
-                    {
-                        let sub = self.sparse.net_subs[k];
-                        self.sparse.mark_dirty(sub);
+                    for &sub in tables.net_subs(i) {
+                        self.sparse.mark_dirty(tables, sub);
                     }
                     // Deferred commit records.
-                    for k in self.sparse.regs_by_input_start[i] as usize
-                        ..self.sparse.regs_by_input_start[i + 1] as usize
-                    {
-                        let r = self.sparse.regs_by_input[k];
-                        self.sparse.commit_regs.push(r);
-                    }
-                    for k in self.sparse.sigs_by_status_start[i] as usize
-                        ..self.sparse.sigs_by_status_start[i + 1] as usize
-                    {
-                        let s = self.sparse.sigs_by_status[k];
-                        self.sparse.commit_sigs.push(s);
-                    }
-                    if self.sparse.terminated_net == Some(id) {
+                    self.sparse.commit_regs.extend_from_slice(tables.regs_by_input(i));
+                    self.sparse.commit_sigs.extend_from_slice(tables.sigs_by_status(i));
+                    if tables.terminated_net == Some(id) {
                         self.sparse.term_dirty = true;
                     }
                 }
@@ -1848,6 +1754,7 @@ impl Machine {
         &mut self,
         circuit: &Circuit,
         sched: &LevelSchedule,
+        tables: &SparseTables,
         id: u32,
         emit_count: &mut [u32],
     ) -> Result<bool, RuntimeError> {
@@ -1865,14 +1772,14 @@ impl Machine {
                 // the dense sweep.
                 let edge = sched.fanins(i)[0];
                 let control = (self.value[(edge >> 1) as usize] == 1) ^ (edge & 1 == 1);
-                if self.sparse.needs_hot[i] {
+                if tables.needs_hot[i] {
                     self.sparse.set_hot(id, control);
                 }
                 control && self.eval_test(circuit, id)
             }
             code @ (CODE_OR_EARLY | CODE_AND_EARLY) => {
                 let v = self.sparse_fold(sched, i, code == CODE_OR_EARLY);
-                if self.sparse.needs_hot[i] {
+                if tables.needs_hot[i] {
                     self.sparse.set_hot(id, v);
                 }
                 if v {
@@ -1882,7 +1789,7 @@ impl Machine {
             }
             code @ (CODE_OR_LATE | CODE_AND_LATE) => {
                 let gate = self.sparse_fold(sched, i, code == CODE_OR_LATE);
-                if self.sparse.needs_hot[i] {
+                if tables.needs_hot[i] {
                     self.sparse.set_hot(id, gate);
                 }
                 if gate {
@@ -1931,7 +1838,7 @@ impl Machine {
             for (s, info) in circuit.signals().iter().enumerate() {
                 self.last_present[s] = self.value[info.status_net.index()] == 1;
             }
-            if let Some(t) = circuit.terminated_net {
+            if let Some(t) = circuit.terminated_net() {
                 if self.value[t.index()] == 1 {
                     self.terminated = true;
                 }
@@ -1958,7 +1865,7 @@ impl Machine {
             commit_sigs.clear();
             self.sparse.commit_sigs = commit_sigs;
             if self.sparse.term_dirty {
-                if let Some(t) = circuit.terminated_net {
+                if let Some(t) = circuit.terminated_net() {
                     if self.value[t.index()] == 1 {
                         self.terminated = true;
                     }
@@ -2015,7 +1922,7 @@ impl Machine {
         let net = &circuit.nets()[i];
         let deps_ok = net.deps.iter().all(|d| self.resolved[d.index()]);
         let mut changed = false;
-        match self.class[i] {
+        match self.program.class[i] {
             Class::Source => {}
             Class::Test => {
                 let f = net.fanins[0];
@@ -2037,7 +1944,7 @@ impl Machine {
             }
             Class::Gate | Class::Early | Class::Late => {
                 // Ternary gate evaluation.
-                let controlling = self.is_or[i];
+                let controlling = self.program.is_or[i];
                 let mut any_controlling = false;
                 let mut all_known = true;
                 for f in &net.fanins {
@@ -2058,7 +1965,7 @@ impl Machine {
                 let Some(v) = value else {
                     return Ok(false);
                 };
-                match self.class[i] {
+                match self.program.class[i] {
                     Class::Gate => {
                         self.value[i] = v as i8;
                         self.resolved[i] = true;
@@ -2104,10 +2011,11 @@ impl Machine {
         emit_count: &mut [u32],
     ) -> Result<(), RuntimeError> {
         let ji = j as usize;
-        if self.value[ji] != -1 || (self.armed[ji] && self.class[ji] != Class::Early) {
+        let class = self.program.class[ji];
+        if self.value[ji] != -1 || (self.armed[ji] && class != Class::Early) {
             return Ok(());
         }
-        match self.class[ji] {
+        match class {
             Class::Source => Ok(()),
             Class::Test => {
                 if v {
@@ -2120,7 +2028,7 @@ impl Machine {
                 }
             }
             _ => {
-                let controlling = self.is_or[ji];
+                let controlling = self.program.is_or[ji];
                 if v == controlling {
                     self.gate_value(circuit, j, controlling, emit_count)
                 } else {
@@ -2143,7 +2051,7 @@ impl Machine {
         emit_count: &mut [u32],
     ) -> Result<(), RuntimeError> {
         let ji = j as usize;
-        match self.class[ji] {
+        match self.program.class[ji] {
             Class::Gate => {
                 self.value[ji] = v as i8;
                 self.queue.push_back(Ev::Det(j));
@@ -2195,7 +2103,7 @@ impl Machine {
         emit_count: &mut [u32],
     ) -> Result<(), RuntimeError> {
         let ji = j as usize;
-        match self.class[ji] {
+        match self.program.class[ji] {
             Class::Test => {
                 let v = self.eval_test(circuit, j);
                 self.value[ji] = v as i8;
@@ -2450,12 +2358,10 @@ impl Machine {
         if self.sparse.tracking {
             // Sparse sweep in flight: remember the write for the lazy
             // pre-value sync and wake `nowval`/`preval` readers.
+            let tables = self.program.sparse(circuit);
             self.sparse.touched.push(si as u32);
-            for k in self.sparse.sig_subs_start[si] as usize
-                ..self.sparse.sig_subs_start[si + 1] as usize
-            {
-                let sub = self.sparse.sig_subs[k];
-                self.sparse.mark_dirty(sub);
+            for &sub in tables.sig_subs(si) {
+                self.sparse.mark_dirty(tables, sub);
             }
         }
         Ok(())

@@ -130,7 +130,7 @@ fn fnv_u64(h: &mut u64, v: u64) {
 /// address), so the hash is reproducible across processes.
 pub fn circuit_struct_hash(circuit: &Circuit) -> u64 {
     let mut h = FNV_BASIS;
-    fnv_bytes(&mut h, circuit.name.as_bytes());
+    fnv_bytes(&mut h, circuit.name().as_bytes());
     fnv_u64(&mut h, circuit.nets().len() as u64);
     for net in circuit.nets() {
         fnv_bytes(&mut h, format!("{:?}", net.kind).as_bytes());

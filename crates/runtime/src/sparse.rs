@@ -37,42 +37,24 @@
 //! Durable snapshots deliberately do not serialize the baseline — a
 //! restored machine rebuilds it on its first instant, which keeps the
 //! wire format engine-agnostic.
+//!
+//! The tables derived from the circuit alone ([`SparseTables`]) are
+//! shared through the machine's program; each machine keeps only its
+//! dirty-set planes ([`SparseState`]).
 
 use crate::levelized::LevelSchedule;
 use hiphop_circuit::{Circuit, NetKind, TestKind};
 use hiphop_core::expr::{Expr, SigAccess};
 
-/// Dirty-set state of the sparse engine. Lives on the machine but is
-/// only allocated once the sparse engine actually runs.
-#[derive(Debug, Default)]
-pub(crate) struct SparseState {
-    /// One-time tables built on the first sparse instant.
-    pub(crate) built: bool,
-    /// Whether `Machine::value` plus the derived sets below describe the
-    /// previous committed instant. Cleared at the start of every sparse
-    /// instant (so an error forces a rebuild) and by every non-sparse
-    /// instant, reset, restore and hot swap; set again only after a
-    /// sparse instant commits.
-    pub(crate) valid: bool,
+/// The sparse engine's static tables: derived from the circuit and its
+/// level schedule alone, so one copy lives in the shared
+/// [`crate::program::Program`] and serves every machine of the program.
+#[derive(Debug)]
+pub(crate) struct SparseTables {
     /// Topological level of each net (from the levelized schedule).
     pub(crate) level_of: Vec<u32>,
-    /// Committed presence of input/notify nets (mirror of the staged
-    /// set), maintained incrementally via `present_nets`.
-    pub(crate) in_present: Vec<bool>,
-    /// Nets whose `in_present` bit is currently set.
-    pub(crate) present_nets: Vec<u32>,
-    /// Scratch holding the *previous* instant's `present_nets` during
-    /// staging (buffer reuse; swapped, never reallocated).
-    pub(crate) prev_present: Vec<u32>,
-    /// Per-net dirty flag (deduplicates the level lists).
-    pub(crate) dirty: Vec<bool>,
-    /// Per-level dirty worklists; a level with an empty list is skipped
-    /// entirely by the sweep.
-    pub(crate) level_lists: Vec<Vec<u32>>,
-    /// The standing hot set (see the module docs); re-seeded into the
-    /// worklist every instant and compacted lazily via `in_hot`.
-    pub(crate) hot: Vec<u32>,
-    pub(crate) in_hot: Vec<bool>,
+    /// Number of topological levels.
+    pub(crate) levels: usize,
     /// Whether a net, when its gate/control is 1, must re-evaluate every
     /// instant: impure tests (counter mutation, var/host reads) and
     /// every action net — valued emits feed the emission counters,
@@ -84,67 +66,37 @@ pub(crate) struct SparseState {
     /// expression reads `pre(S)` subscribe to S's pre-register net, which
     /// has no fanout or dep edge toward them (sources need none for the
     /// dense engines).
-    pub(crate) net_subs_start: Vec<u32>,
-    pub(crate) net_subs: Vec<u32>,
+    net_subs_start: Vec<u32>,
+    net_subs: Vec<u32>,
     /// CSR: subscriber nets keyed by *signal* — test nets whose
     /// expression reads `nowval`/`preval`: the value plane changes
     /// without any net changing, so writers mark these directly.
-    pub(crate) sig_subs_start: Vec<u32>,
-    pub(crate) sig_subs: Vec<u32>,
-    /// Register-output nets invalidated by the previous commit — their
-    /// baseline value predates the register write.
-    pub(crate) pending_reg_nets: Vec<u32>,
+    sig_subs_start: Vec<u32>,
+    sig_subs: Vec<u32>,
     /// CSR: register indices keyed by register-*input* net.
-    pub(crate) regs_by_input_start: Vec<u32>,
-    pub(crate) regs_by_input: Vec<u32>,
+    regs_by_input_start: Vec<u32>,
+    regs_by_input: Vec<u32>,
     /// CSR: signal indices keyed by status net.
-    pub(crate) sigs_by_status_start: Vec<u32>,
-    pub(crate) sigs_by_status: Vec<u32>,
+    sigs_by_status_start: Vec<u32>,
+    sigs_by_status: Vec<u32>,
     /// The circuit's termination net, if any.
     pub(crate) terminated_net: Option<u32>,
-    /// Persistent per-signal emission counters (the dense engines
-    /// allocate a fresh vector per reaction); zeroed through `touched`.
-    pub(crate) emit_count: Vec<u32>,
-    /// Signals whose value/emission counter were written this instant —
-    /// the only pre-values to sync and counters to clear next instant.
-    pub(crate) touched: Vec<u32>,
-    /// Arms `touched` recording in `Machine::emit_value`. Only ever true
-    /// while a sparse sweep is running, so dense and cohort execution
-    /// never grow the list.
-    pub(crate) tracking: bool,
-    /// Deferred commit scratch: registers/signals whose source net
-    /// changed this instant (registers must not be written mid-sweep —
-    /// they are excluded from the rollback snapshot).
-    pub(crate) commit_regs: Vec<u32>,
-    pub(crate) commit_sigs: Vec<u32>,
-    pub(crate) term_dirty: bool,
-    /// Per-level activity of this instant (recorded only while
-    /// level-activity accounting is armed).
-    pub(crate) level_evals: Vec<u64>,
-    pub(crate) level_changed: Vec<u64>,
 }
 
-impl SparseState {
-    /// Builds the one-time tables: net→level, the register-by-input and
-    /// signal-by-status CSRs, and the capacity-bearing flag planes.
-    pub(crate) fn ensure_built(&mut self, circuit: &Circuit, sched: &LevelSchedule) {
-        if self.built {
-            return;
-        }
+impl SparseTables {
+    /// Builds net→level, the register-by-input and signal-by-status
+    /// CSRs, the hot-set classification and the subscriber lists.
+    pub(crate) fn build(circuit: &Circuit, sched: &LevelSchedule) -> SparseTables {
         let n = circuit.nets().len();
         let levels = sched.levels;
-        self.level_of = vec![0; n];
+        let mut level_of = vec![0; n];
         for l in 0..levels {
             let span =
                 &sched.order[sched.level_starts[l] as usize..sched.level_starts[l + 1] as usize];
             for &id in span {
-                self.level_of[id as usize] = l as u32;
+                level_of[id as usize] = l as u32;
             }
         }
-        self.in_present = vec![false; n];
-        self.dirty = vec![false; n];
-        self.in_hot = vec![false; n];
-        self.level_lists = (0..levels).map(|_| Vec::new()).collect();
 
         // CSR: registers by input net (two registers may share an input).
         let mut count = vec![0u32; n + 1];
@@ -161,8 +113,8 @@ impl SparseState {
             regs[*c as usize] = r as u32;
             *c += 1;
         }
-        self.regs_by_input_start = count;
-        self.regs_by_input = regs;
+        let regs_by_input_start = count;
+        let regs_by_input = regs;
 
         // CSR: signals by status net.
         let mut count = vec![0u32; n + 1];
@@ -179,8 +131,8 @@ impl SparseState {
             sigs[*c as usize] = s as u32;
             *c += 1;
         }
-        self.sigs_by_status_start = count;
-        self.sigs_by_status = sigs;
+        let sigs_by_status_start = count;
+        let sigs_by_status = sigs;
 
         // Hot-set classification and subscriber lists. A net is "hot"
         // when skipping it while its gate/control holds would lose a side
@@ -228,26 +180,128 @@ impl SparseState {
                 needs_hot[i] = true;
             }
         }
-        self.needs_hot = needs_hot;
-        let (starts, items) = csr_from_pairs(&mut net_pairs, n);
-        self.net_subs_start = starts;
-        self.net_subs = items;
-        let (starts, items) = csr_from_pairs(&mut sig_pairs, circuit.signals().len());
-        self.sig_subs_start = starts;
-        self.sig_subs = items;
+        let (net_subs_start, net_subs) = csr_from_pairs(&mut net_pairs, n);
+        let (sig_subs_start, sig_subs) = csr_from_pairs(&mut sig_pairs, circuit.signals().len());
+        SparseTables {
+            level_of,
+            levels,
+            needs_hot,
+            net_subs_start,
+            net_subs,
+            sig_subs_start,
+            sig_subs,
+            regs_by_input_start,
+            regs_by_input,
+            sigs_by_status_start,
+            sigs_by_status,
+            terminated_net: circuit.terminated_net().map(|t| t.0),
+        }
+    }
 
-        self.terminated_net = circuit.terminated_net.map(|t| t.0);
+    /// Nets subscribed to signal `si`'s value plane.
+    #[inline]
+    pub(crate) fn sig_subs(&self, si: usize) -> &[u32] {
+        &self.sig_subs[self.sig_subs_start[si] as usize..self.sig_subs_start[si + 1] as usize]
+    }
+
+    /// Nets subscribed to net `i` beyond its fanout and dep edges.
+    #[inline]
+    pub(crate) fn net_subs(&self, i: usize) -> &[u32] {
+        &self.net_subs[self.net_subs_start[i] as usize..self.net_subs_start[i + 1] as usize]
+    }
+
+    /// Registers whose input is net `i`.
+    #[inline]
+    pub(crate) fn regs_by_input(&self, i: usize) -> &[u32] {
+        &self.regs_by_input
+            [self.regs_by_input_start[i] as usize..self.regs_by_input_start[i + 1] as usize]
+    }
+
+    /// Signals whose status net is net `i`.
+    #[inline]
+    pub(crate) fn sigs_by_status(&self, i: usize) -> &[u32] {
+        &self.sigs_by_status
+            [self.sigs_by_status_start[i] as usize..self.sigs_by_status_start[i + 1] as usize]
+    }
+}
+
+/// Dirty-set state of the sparse engine: one machine's planes over its
+/// program's [`SparseTables`]. Lives on the machine but is only
+/// allocated once the sparse engine actually runs.
+#[derive(Debug, Default)]
+pub(crate) struct SparseState {
+    /// Whether the planes below are allocated.
+    pub(crate) built: bool,
+    /// Whether `Machine::value` plus the derived sets below describe the
+    /// previous committed instant. Cleared at the start of every sparse
+    /// instant (so an error forces a rebuild) and by every non-sparse
+    /// instant, reset, restore and hot swap; set again only after a
+    /// sparse instant commits.
+    pub(crate) valid: bool,
+    /// Committed presence of input/notify nets (mirror of the staged
+    /// set), maintained incrementally via `present_nets`.
+    pub(crate) in_present: Vec<bool>,
+    /// Nets whose `in_present` bit is currently set.
+    pub(crate) present_nets: Vec<u32>,
+    /// Scratch holding the *previous* instant's `present_nets` during
+    /// staging (buffer reuse; swapped, never reallocated).
+    pub(crate) prev_present: Vec<u32>,
+    /// Per-net dirty flag (deduplicates the level lists).
+    pub(crate) dirty: Vec<bool>,
+    /// Per-level dirty worklists; a level with an empty list is skipped
+    /// entirely by the sweep.
+    pub(crate) level_lists: Vec<Vec<u32>>,
+    /// The standing hot set (see the module docs); re-seeded into the
+    /// worklist every instant and compacted lazily via `in_hot`.
+    pub(crate) hot: Vec<u32>,
+    pub(crate) in_hot: Vec<bool>,
+    /// Register-output nets invalidated by the previous commit — their
+    /// baseline value predates the register write.
+    pub(crate) pending_reg_nets: Vec<u32>,
+    /// Persistent per-signal emission counters (the dense engines
+    /// allocate a fresh vector per reaction); zeroed through `touched`.
+    pub(crate) emit_count: Vec<u32>,
+    /// Signals whose value/emission counter were written this instant —
+    /// the only pre-values to sync and counters to clear next instant.
+    pub(crate) touched: Vec<u32>,
+    /// Arms `touched` recording in `Machine::emit_value`. Only ever true
+    /// while a sparse sweep is running, so dense and cohort execution
+    /// never grow the list.
+    pub(crate) tracking: bool,
+    /// Deferred commit scratch: registers/signals whose source net
+    /// changed this instant (registers must not be written mid-sweep —
+    /// they are excluded from the rollback snapshot).
+    pub(crate) commit_regs: Vec<u32>,
+    pub(crate) commit_sigs: Vec<u32>,
+    pub(crate) term_dirty: bool,
+    /// Per-level activity of this instant (recorded only while
+    /// level-activity accounting is armed).
+    pub(crate) level_evals: Vec<u64>,
+    pub(crate) level_changed: Vec<u64>,
+}
+
+impl SparseState {
+    /// Allocates the per-machine planes on the first sparse instant.
+    pub(crate) fn ensure_built(&mut self, circuit: &Circuit, tables: &SparseTables) {
+        if self.built {
+            return;
+        }
+        let n = circuit.nets().len();
+        self.in_present = vec![false; n];
+        self.dirty = vec![false; n];
+        self.in_hot = vec![false; n];
+        self.level_lists = (0..tables.levels).map(|_| Vec::new()).collect();
         self.emit_count = vec![0; circuit.signals().len()];
         self.built = true;
     }
 
     /// Adds net `id` to its level's worklist (idempotent).
     #[inline]
-    pub(crate) fn mark_dirty(&mut self, id: u32) {
+    pub(crate) fn mark_dirty(&mut self, tables: &SparseTables, id: u32) {
         let i = id as usize;
         if !self.dirty[i] {
             self.dirty[i] = true;
-            self.level_lists[self.level_of[i] as usize].push(id);
+            self.level_lists[tables.level_of[i] as usize].push(id);
         }
     }
 

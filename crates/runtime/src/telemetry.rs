@@ -61,7 +61,7 @@ impl AsyncPhase {
 
 /// Per-reaction engine statistics, delivered with
 /// [`TraceEvent::ReactionEnd`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReactionStats {
     /// Wall-clock duration of the reaction, nanoseconds.
     pub duration_ns: u64,
@@ -1368,7 +1368,7 @@ impl VcdSink {
         let refs: Vec<&str> = outputs.iter().map(String::as_str).collect();
         let f = std::fs::File::create(path)?;
         Ok(VcdSink::new(
-            machine.circuit().name.clone(),
+            machine.circuit().name().to_owned(),
             &refs,
             Box::new(std::io::BufWriter::new(f)),
         ))

@@ -192,9 +192,11 @@ type ShapeKey = (u32, u32, u32, u32);
 
 thread_local! {
     /// Per-shard-thread circuit cache: every session of a shard plays
-    /// the same generated score, so compile once per thread and clone
-    /// the circuit per machine (circuits are plain data; machines are
-    /// not).
+    /// the same generated score, so compile once per thread and build
+    /// every machine on a clone of the cached circuit. A clone is a
+    /// handle on the same body, so the sessions share the circuit and
+    /// the program `Machine::new` memoizes in it; each machine owns only
+    /// its state.
     static CIRCUIT_CACHE: RefCell<Option<(ShapeKey, hiphop_circuit::Circuit)>> =
         const { RefCell::new(None) };
 }

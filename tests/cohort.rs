@@ -24,7 +24,8 @@ mod common;
 use common::{KernelCase, KERNEL_CASES};
 use hiphop::lang::{parse_program, HostRegistry};
 use hiphop::prelude::*;
-use hiphop::runtime::{react_cohort, CohortWidth};
+use hiphop::compiler::compile_module;
+use hiphop::runtime::{circuit_struct_hash, cohort_key, react_cohort, CohortWidth};
 use hiphop_bench::synthetic_program;
 use hiphop_core::rng::Rng;
 
@@ -461,6 +462,55 @@ fn lane_compaction_after_close_preserves_survivor_digests() {
             width,
             4,
             sched,
+        );
+    }
+}
+
+// ------------------------------------------- grouping across compiles
+
+/// Cohorts group by the program's structural hash, not by which compile
+/// a machine came from: sessions that each compile the same program (a
+/// pool factory that compiles per session) share one key with sessions
+/// that share one compiled circuit, and a cohort mixing both matches its
+/// scalar shadows.
+#[test]
+fn separately_compiled_identical_circuits_form_one_cohort() {
+    const K: usize = 33;
+    let module = synthetic_program(30, 0x5EED);
+    let compile = || {
+        compile_module(&module, &ModuleRegistry::new())
+            .expect("compile")
+            .circuit
+    };
+    let shared = compile();
+    let mut machines: Vec<Machine> = (0..K)
+        .map(|lane| {
+            let circuit = if lane % 2 == 0 { shared.clone() } else { compile() };
+            Machine::new(circuit).expect("machine")
+        })
+        .collect();
+    let key = cohort_key(&machines[0]).expect("a levelized machine is cohort-eligible");
+    assert_eq!(key, circuit_struct_hash(&shared));
+    for (lane, m) in machines.iter().enumerate() {
+        assert_eq!(cohort_key(m), Some(key), "lane {lane} left the cohort");
+    }
+    let mut shadows = synth_machines(30, 0x5EED, K);
+    for width in WIDTHS {
+        differential(
+            &format!("mixed compiles [{width:?}]"),
+            &mut machines,
+            &mut shadows,
+            width,
+            5,
+            |lane, t| {
+                if t == 0 {
+                    return Vec::new();
+                }
+                (0..8)
+                    .filter(|j| (lane + 2 * t + j).is_multiple_of(3))
+                    .map(|j| (format!("i{j}"), Some(Value::from((lane * t) as i64 % 7))))
+                    .collect()
+            },
         );
     }
 }

@@ -15,7 +15,9 @@
 //!    characters, non-ASCII) pushed through the JSONL sink still
 //!    produce valid JSON lines.
 
-use hiphop_runtime::{chrome_trace, Json, RecorderConfig, ReplayOptions, SpanKind};
+use hiphop_runtime::{
+    chrome_trace, EngineMode, Json, ReactionStats, RecorderConfig, ReplayOptions, SpanKind,
+};
 use hiphop_skini::concert::{self, scenario_metadata};
 use hiphop_skini::{ConcertConfig, ConcertRunOptions};
 
@@ -281,7 +283,13 @@ fn jsonl_sink_escapes_hostile_strings() {
         };
         sink.on_event(&TraceEvent::ReactionEnd {
             reaction: &reaction,
-            stats: Default::default(),
+            stats: ReactionStats {
+                duration_ns: 0,
+                events: 0,
+                actions: 0,
+                queue_hwm: 0,
+                engine: EngineMode::Constructive,
+            },
         });
         sink.on_event(&TraceEvent::Log {
             seq: i as u64,
