@@ -16,7 +16,7 @@ TOTAL=$(printf '%s\n' "$TEST_OUT" \
 echo "    workspace test count: $TOTAL"
 # Regression guard: the suite only ever grows. Raise the floor when
 # you add tests; never lower it.
-MIN_TESTS=567
+MIN_TESTS=579
 if [ "$TOTAL" -lt "$MIN_TESTS" ]; then
     echo "ci: workspace test count regressed below $MIN_TESTS (got $TOTAL)" >&2
     exit 1
@@ -232,6 +232,36 @@ for wdt in u64 wide; do
         *) echo "ci: cohort($wdt) recovery re-drove more than the suffix: $RECOVERY_JSON" >&2; exit 1 ;;
     esac
     echo "    cohort $wdt: recovered tick-8 checkpoint + 8-tick suffix, digests match"
+done
+
+# Hostile nesting: 100,000 nested parentheses, 5,000 nested loops and a
+# journal whose input value nests 200,000 arrays must each be refused
+# with exit 1 and a nesting error, never a stack overflow (exit 134).
+echo "==> hostile nesting through the CLI (exit 1 with an error, never a crash)"
+repeat() { head -c "$2" /dev/zero | tr '\0' "$1"; }
+{ printf 'module M(out o = 0) { emit o('; repeat '(' 100000; printf '1'
+  repeat ')' 100000; printf '); }\n'; } > "$FLIGHT_DIR/parens.hh"
+{ printf 'module M() { '; printf 'loop { %.0s' $(seq 5000)
+  printf 'yield; '; repeat '}' 5000; printf ' }\n'; } > "$FLIGHT_DIR/loops.hh"
+{ echo '{"type":"flight","version":1,"tick_ms":10,"dropped":0,"scenario":{"scenario":"concert"}}'
+  echo '{"type":"open","sessions":[0],"digests":[]}'
+  printf '{"type":"tick","tick":0,"inputs":[{"session":0,"signal":"beat","value":'
+  repeat '[' 200000; repeat ']' 200000; printf '}]}\n'; } > "$FLIGHT_DIR/deep.jsonl"
+for hostile in "check parens.hh" "check loops.hh" "replay deep.jsonl"; do
+    read -r HOSTILE_CMD HOSTILE_FILE <<< "$hostile"
+    set +e
+    HOSTILE_ERR=$(./target/release/hiphopc "$HOSTILE_CMD" "$FLIGHT_DIR/$HOSTILE_FILE" 2>&1 >/dev/null)
+    HOSTILE_CODE=$?
+    set -e
+    case "$HOSTILE_ERR" in
+        *'nesting deeper than'*) : ;;
+        *) HOSTILE_CODE="$HOSTILE_CODE, no nesting error" ;;
+    esac
+    if [ "$HOSTILE_CODE" != 1 ]; then
+        echo "ci: hiphopc $hostile: expected exit 1 with a nesting error, got exit $HOSTILE_CODE: $HOSTILE_ERR" >&2
+        exit 1
+    fi
+    echo "    $hostile: $HOSTILE_ERR"
 done
 
 echo "ci: all green"

@@ -448,7 +448,7 @@ fn main() {
 
     // ------------------------------------------------------------------ E15
     println!("\nE15 — sparse incremental reactions (10k-instance ABRO pool, one instance");
-    println!("active; then the busy dense-640 drive as the no-regression guard)");
+    println!("active; then the quiet dense-640 drive as the no-regression guard)");
     println!(
         "{:<34} {:<14} {:>9} {:>13} {:>13} {:>8}",
         "workload", "engine", "nets", "p50 (µs)", "evals", "digest"
@@ -459,7 +459,7 @@ fn main() {
             hiphop_bench::experiments::wide_quiet(10_000, 30),
         ),
         (
-            "dense-640 busy drive",
+            "dense-640 quiet drive",
             hiphop_bench::experiments::sparse_dense_regression(640, 200, 2020),
         ),
     ] {

@@ -129,6 +129,24 @@ pub struct SessionOutputs {
     pub terminated: bool,
 }
 
+impl SessionOutputs {
+    /// Moves every output of a session's reactions this tick, in order,
+    /// into one entry.
+    fn moved_from(session: SessionId, reactions: Vec<Reaction>) -> SessionOutputs {
+        let terminated = reactions.iter().any(|r| r.terminated);
+        let mut reactions = reactions.into_iter();
+        let mut outputs = reactions.next().map(|r| r.outputs).unwrap_or_default();
+        for r in reactions {
+            outputs.extend(r.outputs);
+        }
+        SessionOutputs {
+            session,
+            outputs,
+            terminated,
+        }
+    }
+}
+
 /// A failed (rolled-back) reaction inside a tick.
 #[derive(Debug, Clone)]
 pub struct SessionFault {
@@ -318,11 +336,7 @@ impl ShardState {
             match driver.react(&[]) {
                 Ok(boot) => {
                     out.reactions += boot.len();
-                    out.outputs.push(SessionOutputs {
-                        session: id,
-                        outputs: boot.iter().flat_map(|r| r.outputs.clone()).collect(),
-                        terminated: boot.iter().any(|r| r.terminated),
-                    });
+                    out.outputs.push(SessionOutputs::moved_from(id, boot));
                 }
                 Err(e) => {
                     self.rollbacks += 1;
@@ -413,11 +427,7 @@ impl ShardState {
                 match reacted {
                     Ok(reactions) => {
                         out.reactions += reactions.len();
-                        out.outputs.push(SessionOutputs {
-                            session: id,
-                            outputs: reactions.iter().flat_map(|r| r.outputs.clone()).collect(),
-                            terminated: reactions.iter().any(|r| r.terminated),
-                        });
+                        out.outputs.push(SessionOutputs::moved_from(id, reactions));
                     }
                     Err(e) => {
                         // The failed reaction rolled back: the session's
@@ -450,11 +460,7 @@ impl ShardState {
             match drained {
                 Ok(reactions) if !reactions.is_empty() => {
                     out.reactions += reactions.len();
-                    out.outputs.push(SessionOutputs {
-                        session: id,
-                        outputs: reactions.iter().flat_map(|r| r.outputs.clone()).collect(),
-                        terminated: reactions.iter().any(|r| r.terminated),
-                    });
+                    out.outputs.push(SessionOutputs::moved_from(id, reactions));
                 }
                 Ok(_) => {}
                 Err(e) => {
@@ -589,11 +595,7 @@ impl ShardState {
         match reacted {
             Ok(reactions) => {
                 out.reactions += reactions.len();
-                out.outputs.push(SessionOutputs {
-                    session: id,
-                    outputs: reactions.iter().flat_map(|r| r.outputs.clone()).collect(),
-                    terminated: reactions.iter().any(|r| r.terminated),
-                });
+                out.outputs.push(SessionOutputs::moved_from(id, reactions));
             }
             Err(e) => {
                 self.rollbacks += 1;

@@ -31,17 +31,27 @@ use hiphop_core::module::{Module, ModuleRegistry, VarDecl};
 use hiphop_core::signal::{Combine, Direction, SignalDecl};
 use hiphop_core::value::Value;
 
+/// The deepest nesting a source file may use, counting enclosing
+/// statements, expressions, prefix operators and the left-nested chains
+/// that binary operators, field accesses and indexing build. Every pass
+/// after parsing (checking, translation, dropping the tree) recurses
+/// over the same depth, so the bound keeps all of them off the end of
+/// the stack.
+pub const MAX_NESTING: usize = 1000;
+
 /// Parses a source file containing one or more modules; `implements`
 /// clauses are resolved against earlier modules of the same file.
 ///
 /// # Errors
 ///
-/// Returns the first [`ParseError`] with its source position.
+/// Returns the first [`ParseError`] with its source position, including
+/// for nesting deeper than [`MAX_NESTING`].
 pub fn parse_file(src: &str, hosts: &HostRegistry) -> Result<ModuleRegistry, ParseError> {
     let toks = lex(src)?;
     let mut p = Parser {
         toks,
         pos: 0,
+        depth: 0,
         hosts,
     };
     let mut registry = ModuleRegistry::new();
@@ -74,6 +84,8 @@ pub fn parse_program(
 struct Parser<'a> {
     toks: Vec<Spanned>,
     pos: usize,
+    // Current nesting, bounded by `MAX_NESTING`.
+    depth: usize,
     hosts: &'a HostRegistry,
 }
 
@@ -100,6 +112,24 @@ impl Parser<'_> {
     fn err(&self, msg: impl Into<String>) -> ParseError {
         let s = self.peek();
         ParseError::new(msg, s.line, s.col)
+    }
+    /// Goes one level deeper, or fails past [`MAX_NESTING`].
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        Ok(())
+    }
+    /// Runs `f` one level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.descend()?;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
     fn expect(&mut self, tok: Tok) -> Result<Spanned, ParseError> {
         if self.peek().tok == tok {
@@ -288,6 +318,10 @@ impl Parser<'_> {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_at)
+    }
+
+    fn stmt_at(&mut self) -> Result<Stmt, ParseError> {
         let loc = self.loc();
         match &self.peek().tok {
             Tok::Semi => {
@@ -663,7 +697,7 @@ impl Parser<'_> {
     // Expressions.
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> Result<Expr, ParseError> {
@@ -679,94 +713,86 @@ impl Parser<'_> {
         }
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.and_expr()?;
-        while self.peek().tok == Tok::OrOr {
+    /// One left-associative precedence level: `next (op next)*`, where
+    /// `op_of` gives this level's operator for a token. Each operator
+    /// nests the chain so far one level deeper (`a + b + c` is
+    /// `(a + b) + c`), so the chain holds one nesting level per operator
+    /// until it ends.
+    fn binary_chain(
+        &mut self,
+        next: fn(&mut Self) -> Result<Expr, ParseError>,
+        op_of: fn(&Tok) -> Option<BinOp>,
+    ) -> Result<Expr, ParseError> {
+        let mut e = next(self)?;
+        let mut chain = 0;
+        while let Some(op) = op_of(&self.peek().tok) {
             self.bump();
-            e = e.or(self.and_expr()?);
+            self.descend()?;
+            chain += 1;
+            e = Expr::Binary(op, Box::new(e), Box::new(next(self)?));
         }
+        self.depth -= chain;
         Ok(e)
+    }
+
+    fn or_expr(&mut self) -> Result<Expr, ParseError> {
+        self.binary_chain(Self::and_expr, |t| (*t == Tok::OrOr).then_some(BinOp::Or))
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.equality()?;
-        while self.peek().tok == Tok::AndAnd {
-            self.bump();
-            e = e.and(self.equality()?);
-        }
-        Ok(e)
+        self.binary_chain(Self::equality, |t| {
+            (*t == Tok::AndAnd).then_some(BinOp::And)
+        })
     }
 
     fn equality(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.relational()?;
-        loop {
-            let op = match self.peek().tok {
-                Tok::EqEq => BinOp::Eq,
-                Tok::NotEq => BinOp::Ne,
-                Tok::EqEqEq => BinOp::StrictEq,
-                Tok::NotEqEq => BinOp::StrictNe,
-                _ => break,
-            };
-            self.bump();
-            e = Expr::Binary(op, Box::new(e), Box::new(self.relational()?));
-        }
-        Ok(e)
+        self.binary_chain(Self::relational, |t| match t {
+            Tok::EqEq => Some(BinOp::Eq),
+            Tok::NotEq => Some(BinOp::Ne),
+            Tok::EqEqEq => Some(BinOp::StrictEq),
+            Tok::NotEqEq => Some(BinOp::StrictNe),
+            _ => None,
+        })
     }
 
     fn relational(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.additive()?;
-        loop {
-            let op = match self.peek().tok {
-                Tok::Lt => BinOp::Lt,
-                Tok::Le => BinOp::Le,
-                Tok::Gt => BinOp::Gt,
-                Tok::Ge => BinOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            e = Expr::Binary(op, Box::new(e), Box::new(self.additive()?));
-        }
-        Ok(e)
+        self.binary_chain(Self::additive, |t| match t {
+            Tok::Lt => Some(BinOp::Lt),
+            Tok::Le => Some(BinOp::Le),
+            Tok::Gt => Some(BinOp::Gt),
+            Tok::Ge => Some(BinOp::Ge),
+            _ => None,
+        })
     }
 
     fn additive(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.multiplicative()?;
-        loop {
-            let op = match self.peek().tok {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            e = Expr::Binary(op, Box::new(e), Box::new(self.multiplicative()?));
-        }
-        Ok(e)
+        self.binary_chain(Self::multiplicative, |t| match t {
+            Tok::Plus => Some(BinOp::Add),
+            Tok::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn multiplicative(&mut self) -> Result<Expr, ParseError> {
-        let mut e = self.unary()?;
-        loop {
-            let op = match self.peek().tok {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Rem,
-                _ => break,
-            };
-            self.bump();
-            e = Expr::Binary(op, Box::new(e), Box::new(self.unary()?));
-        }
-        Ok(e)
+        self.binary_chain(Self::unary, |t| match t {
+            Tok::Star => Some(BinOp::Mul),
+            Tok::Slash => Some(BinOp::Div),
+            Tok::Percent => Some(BinOp::Rem),
+            _ => None,
+        })
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
         match self.peek().tok {
             Tok::Not => {
                 self.bump();
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary()?)))
+                let e = self.nested(Self::unary)?;
+                Ok(Expr::Unary(UnOp::Not, Box::new(e)))
             }
             Tok::Minus => {
                 self.bump();
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary()?)))
+                let e = self.nested(Self::unary)?;
+                Ok(Expr::Unary(UnOp::Neg, Box::new(e)))
             }
             _ => self.postfix(),
         }
@@ -774,10 +800,13 @@ impl Parser<'_> {
 
     fn postfix(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.primary()?;
+        let mut chain = 0;
         loop {
             match self.peek().tok {
                 Tok::Dot => {
                     self.bump();
+                    self.descend()?;
+                    chain += 1;
                     let field = self.ident()?;
                     e = match (&e, field.as_str()) {
                         (Expr::Var(name), "now") => Expr::now(name.clone()),
@@ -789,6 +818,8 @@ impl Parser<'_> {
                 }
                 Tok::LBracket => {
                     self.bump();
+                    self.descend()?;
+                    chain += 1;
                     let idx = self.expr()?;
                     self.expect(Tok::RBracket)?;
                     e = e.index(idx);
@@ -796,6 +827,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
+        self.depth -= chain;
         Ok(e)
     }
 

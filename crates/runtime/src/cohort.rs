@@ -328,7 +328,7 @@ pub fn react_cohort(
     // ---------------------------------------------------- per-lane begin
     for (s, m) in lanes.iter_mut().enumerate() {
         if m.rollback {
-            m.take_snapshot_cohort();
+            m.park_snapshot();
         }
         if !m.sinks.is_empty() {
             m.emit_trace(TraceEvent::ReactionStart { seq: m.seq });
@@ -471,7 +471,7 @@ pub fn react_cohort(
     for (s, m) in lanes.iter_mut().enumerate() {
         if let Some(e) = failures[s].take() {
             if m.rollback {
-                m.restore_snapshot_cohort();
+                m.restore_parked_snapshot();
                 m.poisoned = false;
             } else {
                 m.poisoned = true;

@@ -35,6 +35,11 @@ pub const FLIGHT_FORMAT_VERSION: u64 = 1;
 // ---------------------------------------------------------------------------
 // A minimal JSON parser (the encoder lives in `telemetry`).
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Decoding a
+/// document and dropping it recurse over the same depth, so hostile
+/// input is refused before either can run off the end of the stack.
+pub const MAX_JSON_DEPTH: usize = 1000;
+
 /// A parsed JSON document. Numbers are `f64` (like the host [`Value`]);
 /// objects keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,9 +64,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// A rendered message with the byte offset of the first error.
+    /// A rendered message with the byte offset of the first error,
+    /// including for nesting deeper than [`MAX_JSON_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { b: text.as_bytes(), pos: 0 };
+        let mut p = Parser {
+            b: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -148,6 +158,8 @@ impl Json {
 struct Parser<'a> {
     b: &'a [u8],
     pos: usize,
+    // Open arrays and objects, bounded by `MAX_JSON_DEPTH`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -159,8 +171,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.b.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -169,6 +181,20 @@ impl Parser<'_> {
             Some(c) => Err(format!("unexpected byte {c:#04x} at {}", self.pos)),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    /// Parses one array or object one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn literal(&mut self, text: &str, v: Json) -> Result<Json, String> {
@@ -803,6 +829,17 @@ mod tests {
         // Unpaired surrogate degrades to the replacement char.
         let j = Json::parse(r#""x\ud800y""#).expect("parses");
         assert_eq!(j.as_str(), Some("x\u{FFFD}y"));
+    }
+
+    #[test]
+    fn json_parser_bounds_nesting() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_JSON_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far past the limit: refused at the limit, not by the stack.
+        let err = Json::parse(&"{\"a\":".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

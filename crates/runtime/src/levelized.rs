@@ -305,6 +305,11 @@ pub(crate) struct PackedStates {
 }
 
 impl PackedStates {
+    /// Heap bytes held.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Clears and resizes for `n` nets (all ⊥).
     pub(crate) fn reset(&mut self, n: usize) {
         self.words.clear();

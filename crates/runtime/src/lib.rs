@@ -64,9 +64,9 @@ pub use snapshot::{
     PoolSnapshot, SessionSnapshot, SnapshotError, SNAPSHOT_FORMAT_VERSION,
 };
 pub use telemetry::{
-    chrome_trace, ChromeTraceSink, JsonlSink, LevelActivity, Metrics, MetricsSink, PoolMetrics,
-    ReactionStats, ShardRollup, SharedSink, SinkSet, SpanCollector, SpanKind, SpanRecord, Summary,
-    TraceEvent, TraceSink, VcdSink,
+    chrome_trace, ChromeTraceSink, CountMap, JsonlSink, LevelActivity, Metrics, MetricsSink,
+    PoolMetrics, ReactionStats, ShardRollup, SharedSink, SinkSet, SpanCollector, SpanKind,
+    SpanRecord, Summary, TraceEvent, TraceSink, VcdSink,
 };
 pub use waveform::{SharedWaveform, Waveform};
 

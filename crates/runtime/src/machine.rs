@@ -101,7 +101,11 @@ enum Ev {
 /// only committed after the last fallible step.
 #[derive(Debug, Default)]
 struct Snapshot {
+    // Copied only before sparse reactions; dense reactions park and
+    // never fill it (see `Machine::park_snapshot`).
     sig_val: Vec<Value>,
+    // The pre-reaction pre-values: copied before a sparse reaction,
+    // parked by swap before a dense one.
     sig_preval: Vec<Value>,
     vars: HashMap<String, Value>,
     counters: Vec<f64>,
@@ -146,7 +150,9 @@ pub struct Machine {
     pub(crate) staged_inputs: Vec<(SignalId, Option<Value>)>,
     pub(crate) staged_notifies: Vec<(AsyncId, Value)>,
 
-    // Scratch (allocated once).
+    // Scratch (allocated once). `undet`, `deps_left` and `armed` belong
+    // to the constructive and naive engines and stay empty until one of
+    // them runs; `resolved` is written by every dense sweep.
     pub(crate) value: Vec<i8>,
     undet: Vec<u32>,
     deps_left: Vec<u32>,
@@ -265,9 +271,9 @@ impl Machine {
             staged_inputs: Vec::new(),
             staged_notifies: Vec::new(),
             value: vec![-1; n],
-            undet: vec![0; n],
-            deps_left: vec![0; n],
-            armed: vec![false; n],
+            undet: Vec::new(),
+            deps_left: Vec::new(),
+            armed: Vec::new(),
             resolved: vec![false; n],
             queue: VecDeque::new(),
             events: 0,
@@ -535,15 +541,27 @@ impl Machine {
     /// messages already published to trace sinks, and the staged inputs
     /// of the failed reaction, which are consumed.
     pub fn react(&mut self) -> Result<Reaction, RuntimeError> {
+        // The sparse engine syncs only the pre-values of the signals it
+        // touches, so it needs the full copy; every dense engine runs the
+        // begin phase's whole-plane copy and parks instead.
+        let parked = self.engine() != EngineMode::Sparse;
         if self.rollback {
-            self.take_snapshot();
+            if parked {
+                self.park_snapshot();
+            } else {
+                self.take_snapshot();
+            }
         }
         let result = self.react_core();
         match &result {
             Ok(_) => self.poisoned = false,
             Err(_) => {
                 if self.rollback {
-                    self.restore_snapshot();
+                    if parked {
+                        self.restore_parked_snapshot();
+                    } else {
+                        self.restore_snapshot();
+                    }
                     self.poisoned = false;
                 } else {
                     self.poisoned = true;
@@ -649,6 +667,39 @@ impl Machine {
         self.prev_value[..n].copy_from_slice(&self.value[..n]);
     }
 
+    /// Heap bytes of this session's state and dense-engine planes and
+    /// rollback buffers, one entry per plane, by reserved capacity.
+    /// Shallow: heap data inside a `Value` (strings, arrays) is not
+    /// counted. Not listed: the variables map, the log, sinks and
+    /// listeners, the sparse engine's dirty-set planes and the
+    /// level-activity baseline, and the shared circuit and program,
+    /// which are not session state. DESIGN.md §19 tabulates these for
+    /// the Skini scores.
+    pub fn plane_bytes(&self) -> Vec<(&'static str, usize)> {
+        fn cap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        vec![
+            ("regs", cap(&self.regs)),
+            ("sig_val", cap(&self.sig_val)),
+            ("sig_preval", cap(&self.sig_preval)),
+            ("last_present", cap(&self.last_present)),
+            ("counters", cap(&self.counters)),
+            ("asyncs", cap(&self.asyncs)),
+            ("value", cap(&self.value)),
+            ("resolved", cap(&self.resolved)),
+            ("undet", cap(&self.undet)),
+            ("deps_left", cap(&self.deps_left)),
+            ("armed", cap(&self.armed)),
+            ("queue", self.queue.capacity() * std::mem::size_of::<Ev>()),
+            ("packed_states", self.lv_state.heap_bytes()),
+            ("rollback.sig_val", cap(&self.snapshot.sig_val)),
+            ("rollback.sig_preval", cap(&self.snapshot.sig_preval)),
+            ("rollback.counters", cap(&self.snapshot.counters)),
+            ("rollback.asyncs", cap(&self.snapshot.asyncs)),
+        ]
+    }
+
     /// A deterministic digest of the machine's persistent state
     /// (registers, signal values and pre-values, variables, counters,
     /// async instances, termination flag). Two machines that executed
@@ -682,7 +733,8 @@ impl Machine {
     }
 
     /// Copies everything a failed reaction could have mutated; reuses the
-    /// snapshot buffers so the steady state allocates nothing.
+    /// snapshot buffers so the steady state allocates nothing. Sparse
+    /// reactions only; dense ones use [`Machine::park_snapshot`].
     pub(crate) fn take_snapshot(&mut self) {
         let snap = &mut self.snapshot;
         snap.sig_val.clone_from(&self.sig_val);
@@ -718,14 +770,22 @@ impl Machine {
         self.log.truncate(snap.log_len);
     }
 
-    /// Cohort-mode snapshot: same rollback point as
-    /// [`Machine::take_snapshot`] without its two `Vec<Value>` clones,
-    /// which dominate the cohort's per-lane fixed cost. The begin
-    /// phase's `sig_preval ← sig_val` copy doubles as the value backup
-    /// (nothing writes `sig_preval` during a sweep), and the old
-    /// pre-values are parked in the snapshot by swap instead of clone.
-    /// Must be called *before* that begin-phase copy.
-    pub(crate) fn take_snapshot_cohort(&mut self) {
+    /// Dense-reaction snapshot (scalar dense engines and cohort lanes):
+    /// same rollback point as [`Machine::take_snapshot`] without its two
+    /// `Vec<Value>` clones. The begin phase's `sig_preval ← sig_val`
+    /// copy doubles as the value backup, and the old pre-values are
+    /// parked in the snapshot by swap instead of clone. Sound because
+    /// two facts hold on every dense path (`react_core`'s non-sparse
+    /// branch and `react_cohort`'s per-lane begin):
+    /// - nothing writes `sig_preval` between the begin-phase copy and the
+    ///   end of the reaction (only the sparse engine syncs it
+    ///   mid-reaction, and it takes the full copy instead);
+    /// - no fallible step runs between this call and the begin-phase
+    ///   copy, so a failure always finds that copy in place.
+    ///
+    /// Must be called *before* that begin-phase copy. Until then
+    /// `sig_preval` holds stale parked values.
+    pub(crate) fn park_snapshot(&mut self) {
         let snap = &mut self.snapshot;
         std::mem::swap(&mut snap.sig_preval, &mut self.sig_preval);
         snap.vars.clone_from(&self.vars);
@@ -739,10 +799,10 @@ impl Machine {
         snap.log_len = self.log.len();
     }
 
-    /// Rolls a failed cohort lane back to the
-    /// [`Machine::take_snapshot_cohort`] point — the machine ends up in
-    /// the exact state [`Machine::restore_snapshot`] would produce.
-    pub(crate) fn restore_snapshot_cohort(&mut self) {
+    /// Rolls a failed dense reaction back to the
+    /// [`Machine::park_snapshot`] point — the machine ends up in the
+    /// exact state [`Machine::restore_snapshot`] would produce.
+    pub(crate) fn restore_parked_snapshot(&mut self) {
         // `sig_preval` still holds the begin phase's copy of the
         // pre-reaction `sig_val`; the pre-reaction `sig_preval` was
         // parked in the snapshot by swap.
@@ -918,7 +978,10 @@ impl Machine {
         // shared `value` plane is about to be overwritten wholesale.
         self.sparse.valid = false;
 
-        // Previous-instant values snapshot.
+        // Previous-instant values snapshot. Also the value backup of a
+        // parked rollback snapshot: no fallible step may run before it,
+        // and nothing may write `sig_preval` after it in this branch
+        // (see `park_snapshot`).
         self.sig_preval.clone_from(&self.sig_val);
 
         // Scratch reset. The levelized sweep needs no ⊥-bookkeeping: no
@@ -926,12 +989,6 @@ impl Machine {
         self.value[..n].fill(-1);
         if engine != EngineMode::Levelized {
             self.resolved[..n].fill(false);
-            self.armed[..n].fill(false);
-            self.queue.clear();
-            for (i, net) in circuit.nets().iter().enumerate() {
-                self.undet[i] = net.fanins.len() as u32;
-                self.deps_left[i] = net.deps.len() as u32;
-            }
         }
 
         // Per-reaction emission counters (for combine checking) live in
@@ -968,6 +1025,16 @@ impl Machine {
             // fixpoint (with a per-SCC causality check).
             self.hybrid_fixpoint(&circuit, &program, &input_present, &mut emit_count)?;
         } else {
+            // The FIFO engine's planes, sized here so that only machines
+            // running the constructive or naive engine ever hold them.
+            self.queue.clear();
+            let nets = circuit.nets();
+            self.undet.clear();
+            self.undet.extend(nets.iter().map(|net| net.fanins.len() as u32));
+            self.deps_left.clear();
+            self.deps_left.extend(nets.iter().map(|net| net.deps.len() as u32));
+            self.armed.clear();
+            self.armed.resize(n, false);
             // Determine sources.
             for (i, net) in circuit.nets().iter().enumerate() {
                 let v = match net.kind {

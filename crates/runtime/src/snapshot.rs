@@ -32,10 +32,10 @@
 //! [`SNAPSHOT_FORMAT_VERSION`] (wire format evolution) and
 //! [`circuit_struct_hash`] — an FNV-1a digest of the compiled circuit's
 //! *structure* (net equations, fanins, dependencies, actions, signals,
-//! registers, counters, asyncs). Unlike `cohort_key`, which hashes the
-//! levelized schedule tables and is `None` for cyclic circuits, the
-//! structural hash covers every circuit, so the guard works for hybrid
-//! and constructive programs too.
+//! registers, counters, asyncs). The hash covers every circuit, cyclic
+//! ones included, so the guard works for hybrid and constructive
+//! programs too. The runtime `Program` memoizes it, and `cohort_key`
+//! reuses that memo to group sessions into cohorts.
 
 use crate::flight::{digest_hash, Json};
 use crate::levelized::EngineMode;
@@ -107,7 +107,8 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-// FNV-1a, the same constants as the cohort keyer.
+// 64-bit FNV-1a, the same constants as the flight recorder's
+// `digest_hash`.
 const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_MULT: u64 = 0x0000_0100_0000_01B3;
 

@@ -25,6 +25,7 @@ use crate::machine::{Machine, Reaction};
 use crate::waveform::Waveform;
 use hiphop_core::value::Value;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::rc::Rc;
 
@@ -326,28 +327,76 @@ pub struct Summary {
 impl Summary {
     /// Summarizes `samples` (empty input gives an all-zero summary).
     pub fn of(samples: &[f64]) -> Summary {
-        if samples.is_empty() {
-            return Summary::default();
-        }
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.total_cmp(b));
+        Summary::ranked(sorted.len(), |i| sorted[i], sorted.iter().sum())
+    }
+
+    /// The summary of `count` samples given the sample at each sorted
+    /// rank (`at(0)` is the minimum) and their sum in rank order. Every
+    /// summary goes through here, so one over a compact sample store
+    /// equals [`Summary::of`] on the expanded samples bit for bit.
+    fn ranked(count: usize, at: impl Fn(usize) -> f64, sum: f64) -> Summary {
+        if count == 0 {
+            return Summary::default();
+        }
         // Linear interpolation between closest ranks: p50 of an
         // even-count sample set is the midpoint of the two central
         // elements, not whichever one nearest-rank rounding lands on.
         let pick = |q: f64| {
-            let pos = (sorted.len() - 1) as f64 * q;
+            let pos = (count - 1) as f64 * q;
             let lo = pos.floor() as usize;
             let hi = pos.ceil() as usize;
-            sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+            at(lo) + (at(hi) - at(lo)) * (pos - lo as f64)
         };
         Summary {
-            count: sorted.len(),
-            min: sorted[0],
+            count,
+            min: at(0),
             p50: pick(0.5),
             p95: pick(0.95),
-            max: sorted[sorted.len() - 1],
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
+            max: at(count - 1),
+            mean: sum / count as f64,
         }
+    }
+}
+
+/// An exact value → count histogram of one integer statistic per
+/// reaction: memory grows with the number of distinct values, not with
+/// the number of reactions.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CountMap(BTreeMap<u64, u64>);
+
+impl CountMap {
+    /// Records one sample.
+    pub fn add(&mut self, value: u64) {
+        *self.0.entry(value).or_insert(0) += 1;
+    }
+
+    /// Number of samples recorded.
+    pub fn samples(&self) -> u64 {
+        self.0.values().sum()
+    }
+
+    /// Sum of every sample.
+    pub fn total(&self) -> u64 {
+        self.0.iter().map(|(v, c)| v * c).sum()
+    }
+
+    /// The percentile summary of the recorded samples: exactly
+    /// [`Summary::of`] over every sample, as long as their sum stays
+    /// below 2^53 (where an `f64` sum is exact).
+    pub fn summary(&self) -> Summary {
+        let at = |rank: usize| {
+            let mut seen = 0u64;
+            for (&v, &c) in &self.0 {
+                seen += c;
+                if (rank as u64) < seen {
+                    return v as f64;
+                }
+            }
+            unreachable!("rank {rank} is below the sample count")
+        };
+        Summary::ranked(self.samples() as usize, at, self.total() as f64)
     }
 }
 
@@ -360,9 +409,9 @@ pub const DURATION_BUCKETS_US: [f64; 10] =
 /// Cumulative bucket counts (`le` semantics) over `samples_us`, one slot
 /// per [`DURATION_BUCKETS_US`] bound plus a trailing `+Inf` slot.
 /// Cumulative counts sum element-wise across shards.
-fn duration_hist(samples_us: &[f64]) -> Vec<u64> {
+fn duration_hist(samples_us: impl Iterator<Item = f64>) -> Vec<u64> {
     let mut hist = vec![0u64; DURATION_BUCKETS_US.len() + 1];
-    for &s in samples_us {
+    for s in samples_us {
         for (i, le) in DURATION_BUCKETS_US.iter().enumerate() {
             if s <= *le {
                 hist[i] += 1;
@@ -427,12 +476,19 @@ impl LevelActivity {
 
 /// Aggregating sink: per-reaction engine statistics, summarized with
 /// percentiles on demand.
+///
+/// Memory contract: the sink keeps one `u32` of nanoseconds per
+/// committed reaction (4 bytes; a duration saturates at `u32::MAX` ns,
+/// about 4.29 s) so that pools can compute exact pooled percentiles, and
+/// exact value → count maps ([`CountMap`]) for the net-event, action and
+/// queue high-water-mark statistics, which grow with the number of
+/// distinct values only. Nothing else grows with the reaction count.
 #[derive(Debug, Default)]
 pub struct MetricsSink {
-    duration_ns: Vec<f64>,
-    events: Vec<f64>,
-    actions: Vec<f64>,
-    queue_hwm: Vec<f64>,
+    duration_ns: Vec<u32>,
+    events: CountMap,
+    actions: CountMap,
+    queue_hwm: CountMap,
     causality_failures: usize,
     logs: usize,
     async_events: usize,
@@ -481,12 +537,26 @@ impl MetricsSink {
     /// Total net events across all observed reactions (exact mirror of
     /// summing [`Reaction::events`]).
     pub fn total_events(&self) -> usize {
-        self.events.iter().sum::<f64>() as usize
+        self.events.total() as usize
     }
 
     /// Number of committed reactions observed.
     pub fn reactions(&self) -> usize {
-        self.events.len()
+        self.duration_ns.len()
+    }
+
+    /// Heap bytes the sink's statistics hold: 4 per observed reaction
+    /// plus 16 (a key and a count) per distinct event, action and queue
+    /// value, the maps' node overhead aside. The sample vector's
+    /// unwritten growth reserve is address space, not resident memory,
+    /// and is not counted.
+    pub fn retained_bytes(&self) -> usize {
+        let entry = 2 * std::mem::size_of::<u64>();
+        self.duration_ns.len() * std::mem::size_of::<u32>()
+            + [&self.events, &self.actions, &self.queue_hwm]
+                .iter()
+                .map(|m| m.0.len() * entry)
+                .sum::<usize>()
     }
 
     /// Reaction durations in microseconds, one sample per committed
@@ -494,19 +564,22 @@ impl MetricsSink {
     /// *exact* pooled percentiles across shards (merging per-shard
     /// [`Summary`]s would be lossy).
     pub fn duration_samples_us(&self) -> Vec<f64> {
-        self.duration_ns.iter().map(|ns| ns / 1e3).collect()
+        self.duration_ns.iter().map(|&ns| ns_to_us(ns)).collect()
     }
 
     /// Computes the percentile snapshot.
     pub fn snapshot(&self) -> Metrics {
-        let us: Vec<f64> = self.duration_ns.iter().map(|ns| ns / 1e3).collect();
+        let mut sorted = self.duration_ns.clone();
+        sorted.sort_unstable();
+        let at = |i: usize| ns_to_us(sorted[i]);
+        let sum = (0..sorted.len()).map(at).sum();
         Metrics {
-            reactions: self.events.len(),
-            duration_hist: duration_hist(&us),
-            duration_us: Summary::of(&us),
-            events: Summary::of(&self.events),
-            actions: Summary::of(&self.actions),
-            queue_hwm: Summary::of(&self.queue_hwm),
+            reactions: self.duration_ns.len(),
+            duration_hist: duration_hist((0..sorted.len()).map(at)),
+            duration_us: Summary::ranked(sorted.len(), at, sum),
+            events: self.events.summary(),
+            actions: self.actions.summary(),
+            queue_hwm: self.queue_hwm.summary(),
             causality_failures: self.causality_failures,
             logs: self.logs,
             async_events: self.async_events,
@@ -517,14 +590,20 @@ impl MetricsSink {
     }
 }
 
+/// A stored reaction duration, in microseconds.
+fn ns_to_us(ns: u32) -> f64 {
+    f64::from(ns) / 1e3
+}
+
 impl TraceSink for MetricsSink {
     fn on_event(&mut self, event: &TraceEvent<'_>) {
         match event {
             TraceEvent::ReactionEnd { stats, .. } => {
-                self.duration_ns.push(stats.duration_ns as f64);
-                self.events.push(stats.events as f64);
-                self.actions.push(stats.actions as f64);
-                self.queue_hwm.push(stats.queue_hwm as f64);
+                self.duration_ns
+                    .push(u32::try_from(stats.duration_ns).unwrap_or(u32::MAX));
+                self.events.add(stats.events as u64);
+                self.actions.add(stats.actions as u64);
+                self.queue_hwm.add(stats.queue_hwm as u64);
             }
             TraceEvent::CausalityFailure { .. } => self.causality_failures += 1,
             TraceEvent::Log { .. } => self.logs += 1,
@@ -641,22 +720,31 @@ impl PoolMetrics {
     /// `critical_path_us` and `ticks` are accumulated by the pool itself
     /// (they need per-tick timing, not end-of-run snapshots).
     pub fn from_shards(per_shard: Vec<ShardRollup>, critical_path_us: f64, ticks: u64) -> PoolMetrics {
-        let mut all = Vec::new();
         let mut reactions = 0;
         let mut rollbacks = 0;
         let mut level_activity = LevelActivity::default();
+        let mut duration_hist = duration_hist(std::iter::empty());
         for s in &per_shard {
-            all.extend_from_slice(&s.samples_us);
             reactions += s.metrics.reactions;
             rollbacks += s.rollbacks;
             level_activity.merge(&s.level_activity);
+            for (acc, n) in duration_hist.iter_mut().zip(&s.metrics.duration_hist) {
+                *acc += n;
+            }
         }
+        let samples = || per_shard.iter().flat_map(|s| s.samples_us.iter().copied());
+        // A lone shard's summary already is the pooled one; only several
+        // shards need their samples merged (one sorted copy).
+        let duration_us = match &per_shard[..] {
+            [only] => only.metrics.duration_us,
+            _ => Summary::of(&samples().collect::<Vec<_>>()),
+        };
         PoolMetrics {
             shards: per_shard.len(),
-            duration_us: Summary::of(&all),
-            duration_hist: duration_hist(&all),
+            duration_us,
+            duration_hist,
             level_activity,
-            busy_us: all.iter().sum(),
+            busy_us: samples().sum(),
             per_shard,
             reactions,
             rollbacks,

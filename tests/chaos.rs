@@ -28,6 +28,9 @@
 //! digest comparison below would catch a stale-baseline replay on the
 //! very next successful instant.
 
+mod common;
+
+use common::input_schedule;
 use hiphop::compiler::{compile_module_with, CompileOptions};
 use hiphop::prelude::*;
 use hiphop::runtime::EngineMode;
@@ -40,21 +43,6 @@ fn chaos_seeds() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(100)
-}
-
-fn input_schedule(seed: u64, steps: usize) -> Vec<Vec<(String, Value)>> {
-    let mut rng = Rng::seed_from_u64(seed);
-    (0..steps)
-        .map(|_| {
-            let mut inputs = Vec::new();
-            for k in 0..8 {
-                if rng.gen_bool(0.3) {
-                    inputs.push((format!("i{k}"), Value::from(rng.gen_range(0i64..5))));
-                }
-            }
-            inputs
-        })
-        .collect()
 }
 
 fn outputs_of(r: &hiphop::runtime::Reaction) -> Vec<String> {

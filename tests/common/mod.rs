@@ -1,4 +1,5 @@
-//! Shared Esterel-kernel case table.
+//! Shared test fixtures: the Esterel-kernel case table and the seeded
+//! input schedule of the synthetic-program sweeps.
 //!
 //! `tests/conformance.rs` drives each case through every scalar engine
 //! plus the reference interpreter; `tests/cohort.rs` re-drives the same
@@ -7,6 +8,28 @@
 //! execution-strategy bug only in the second.
 
 #![allow(dead_code)] // each test binary uses a subset
+
+use hiphop_core::rng::Rng;
+use hiphop_core::value::Value;
+
+/// A deterministic input schedule for `hiphop_bench::synthetic_program`
+/// circuits: each of `steps` instants stages each input `i0`–`i7` with
+/// probability 0.3, valued 0–4. The differential, chaos and rollback
+/// sweeps drive every engine with it.
+pub fn input_schedule(seed: u64, steps: usize) -> Vec<Vec<(String, Value)>> {
+    let mut rng = Rng::seed_from_u64(seed);
+    (0..steps)
+        .map(|_| {
+            let mut inputs = Vec::new();
+            for k in 0..8 {
+                if rng.gen_bool(0.3) {
+                    inputs.push((format!("i{k}"), Value::from(rng.gen_range(0i64..5))));
+                }
+            }
+            inputs
+        })
+        .collect()
+}
 
 /// One kernel construct: a compact `.hh` program plus the expected set
 /// of present outputs at every instant (instant 0 is the boot reaction).

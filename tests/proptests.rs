@@ -17,6 +17,9 @@
 //! dropped so the repository builds offline); every failure message
 //! includes the case seed, which reproduces the program exactly.
 
+mod common;
+
+use common::input_schedule;
 use hiphop::compiler::{compile_module_with, CompileOptions};
 use hiphop::prelude::*;
 use hiphop::runtime::EngineMode;
@@ -222,23 +225,6 @@ fn sweep_seeds() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(64)
-}
-
-/// The deterministic input schedule shared by every engine in the
-/// differential sweep (same shape as [`drive`]).
-fn input_schedule(seed: u64, steps: usize) -> Vec<Vec<(String, Value)>> {
-    let mut rng = Rng::seed_from_u64(seed);
-    (0..steps)
-        .map(|_| {
-            let mut inputs = Vec::new();
-            for k in 0..8 {
-                if rng.gen_bool(0.3) {
-                    inputs.push((format!("i{k}"), Value::from(rng.gen_range(0i64..5))));
-                }
-            }
-            inputs
-        })
-        .collect()
 }
 
 /// One reaction's observable record: the sorted `name=present:value`
